@@ -60,8 +60,8 @@ from .pgm import (
     pgm_config,
     pgm_iterate,
     pgm_step,
-    project_box,
     solve_benchmark,
+    solve_benchmark_pgm,
 )
 from .plant import BoxSet, LtiModel, step
 from .probe import (

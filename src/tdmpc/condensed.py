@@ -17,7 +17,12 @@ from .plant import step
 
 
 class CondensedQp:
-    """Condensed quadratic program data for one (model, Q, R, P, N, box) tuple."""
+    """Condensed quadratic program data for one (model, Q, R, P, N, box) tuple.
+
+    factor_cache maps a free-component mask (its bytes) to the inverse of
+    the block of H on those components; the reference minimizer fills it.
+    It lives on the instance so it can only ever serve this problem.
+    """
 
     def __init__(self, N, H, G, W, S, B_bar, u_box, nu_box, Q, R, P):
         self.N = N
@@ -31,6 +36,7 @@ class CondensedQp:
         self.Q = Q
         self.R = R
         self.P = P
+        self.factor_cache = {}
 
     @property
     def M(self):

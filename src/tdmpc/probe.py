@@ -210,9 +210,12 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
     ratio; a ratio beyond round-off raises with the offending sample
     attached.  The denominator carries a 1e-300 floor so an exact warm
     start (a 0/0 ratio) audits as 0.  The reference minimizer is only
-    accurate to about tol/(1 - eta) (the stopping-criterion error bound
-    for an eta-contraction), so that resolution is subtracted from the
-    numerator before forming the ratio: once eta^ell norm0 falls to the
+    accurate to ||mu - T(mu)|| / (1 - eta), the error bound of an
+    eta-contraction T from the fixed-point residual its certificate
+    measures; the computed residual and the audited iterates both carry
+    the rounding of T, about eps * (1 + ||mu||), which is added.  That
+    resolution is subtracted per column from the numerator before
+    forming the ratio: once eta^ell norm0 falls to the
     solver's own error floor -- including the eta = 0 case, where the
     claim is exact one-step convergence -- the audit reads 0 instead of
     reporting unmeasurable noise as a violation.
@@ -224,9 +227,9 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
     ells = rng.integers(1, ell_max + 1, size=samples)
     MU = solve_benchmark(qp, cfg, X, NU0)
     norm0 = np.linalg.norm(NU0 - MU, axis=0)
-    resolution = (
-        cfg.tol_benchmark * (1.0 + np.linalg.norm(MU, axis=0)) / (1.0 - cfg.eta)
-    )
+    size = 1.0 + np.linalg.norm(MU, axis=0)
+    residual = np.linalg.norm(MU - pgm_step(qp, cfg, X, MU), axis=0)
+    resolution = (residual + np.finfo(float).eps * size) / (1.0 - cfg.eta)
     ratios = np.zeros(samples)
     V = NU0.copy()
     for k in range(1, ell_max + 1):

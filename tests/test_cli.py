@@ -130,7 +130,8 @@ def test_run_with_optimal_warm_start(tmp_path):
 
 
 def test_tiny_iteration_cap_exits_3(tmp_path, capsys):
-    conf = write_conf(tmp_path, extra="iter_cap = 5\n")
+    # no certificate passes at this tolerance, so the capped fallback raises
+    conf = write_conf(tmp_path, extra="iter_cap = 5\ntol_benchmark = 1e-300\n")
     code = cli.main(["--config", conf, "--out", str(tmp_path), "run", "benchmark"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tdmpc as T
+import tdmpc.pgm
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +171,98 @@ def test_benchmark_iteration_cap_raises(pend):
         T.solve_benchmark(pend.qp, cfg, pend.x0)
     assert exc.value.iterations == 50
     assert exc.value.residual > 0.0
+
+
+# --- exact active-set reference minimizer ---
+
+
+def _certificate(qp, cfg, X, MU):
+    """Scaled fixed-point residual ||mu - T(mu)|| / (1 + ||mu||) per column."""
+    step = T.pgm_step(qp, cfg, X, MU)
+    return np.linalg.norm(MU - step, axis=0) / (1.0 + np.linalg.norm(MU, axis=0))
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Fail the test if solve_benchmark falls back to projected gradient.
+
+    The package-level T.solve_benchmark_pgm stays usable as the oracle.
+    """
+
+    def fail(*args):
+        raise AssertionError("the active-set solve fell back to projected gradient")
+
+    monkeypatch.setattr(tdmpc.pgm, "solve_benchmark_pgm", fail)
+
+
+def test_exact_solve_matches_pgm_oracle_on_random_instances(random_instance, no_fallback):
+    rng = np.random.default_rng(27)
+    saturated = 0
+    for _ in range(60):
+        model, qp, cfg, _ = random_instance(rng)
+        box = qp.nu_box
+        # scales from the interior to far outside, where every bound saturates
+        scales = np.logspace(-2.0, 4.0, 8)
+        X = rng.standard_normal((model.n, scales.size)) * scales
+        MU = T.solve_benchmark(qp, cfg, X)
+        res = cfg.tol_benchmark / (1.0 - cfg.eta)
+        size = 1.0 + np.linalg.norm(MU, axis=0)
+        assert np.all(box.contains(MU, tol=0.0))
+        assert np.all(_certificate(qp, cfg, X, MU) <= cfg.tol_benchmark)
+        oracle = T.solve_benchmark_pgm(qp, cfg, X)
+        assert np.all(np.linalg.norm(MU - oracle, axis=0) <= 10.0 * res * size)
+        at_bound = (MU == box.lower[:, None]) | (MU == box.upper[:, None])
+        saturated += int(np.sum(np.all(at_bound, axis=0)))
+        nu0 = box.project(2.0 * box.sample(rng, scales.size))
+        warm = T.solve_benchmark(qp, cfg, X, nu0)
+        assert np.all(np.linalg.norm(MU - warm, axis=0) <= 2.0 * res * size)
+        for j in range(scales.size):
+            single = T.solve_benchmark(qp, cfg, X[:, j], nu0[:, j])
+            assert single.shape == (qp.H.shape[0],)
+            assert np.linalg.norm(single - warm[:, j]) <= 2.0 * res * size[j]
+    assert saturated > 0
+
+
+def test_exact_solve_certifies_ill_conditioned_horizon(pend, no_fallback):
+    # at N = 20, eta is 1 - 1.4e-7: projected gradient would need some 2e8
+    # iterations, and an unrefined inverse misses the certificate
+    long = T.build_condensed(pend.model, pend.Q, pend.R, pend.P, 20, pend.box)
+    cfg = T.pgm_config(long)
+    rng = np.random.default_rng(28)
+    X = rng.standard_normal((2, 200)) * np.logspace(-2.0, 1.0, 200)
+    MU = T.solve_benchmark(long, cfg, X)
+    assert np.all(_certificate(long, cfg, X, MU) <= cfg.tol_benchmark)
+
+
+def test_factor_cache_is_per_problem(pend):
+    # same horizon and box, different input weight: same masks, different H
+    other = T.build_condensed(pend.model, pend.Q, 4.0 * pend.R, pend.P, pend.N, pend.box)
+    cfg = T.pgm_config(other)
+    X = np.outer(pend.x0, np.linspace(-6.0, 6.0, 13))
+    for qp, c in ((pend.qp, pend.cfg), (other, cfg)):
+        MU = T.solve_benchmark(qp, c, X)
+        oracle = T.solve_benchmark_pgm(qp, c, X)
+        res = c.tol_benchmark / (1.0 - c.eta)
+        assert np.all(np.linalg.norm(MU - oracle, axis=0)
+                      <= 10.0 * res * (1.0 + np.linalg.norm(MU, axis=0)))
+        for key, inv in qp.factor_cache.items():
+            free = np.frombuffer(key, dtype=bool)
+            assert np.allclose(inv @ qp.H[np.ix_(free, free)], np.eye(free.sum()))
+    assert pend.qp.factor_cache is not other.factor_cache
+    shared = [k for k in set(pend.qp.factor_cache) & set(other.factor_cache)
+              if np.frombuffer(k, dtype=bool).any()]
+    assert shared
+    for key in shared:
+        assert not np.allclose(pend.qp.factor_cache[key], other.factor_cache[key])
+
+
+def test_active_set_cap_with_capped_fallback_raises(pend):
+    # a cold start needs one working-set change per saturated bound
+    x = 5.0 * pend.x0
+    mu = T.solve_benchmark(pend.qp, pend.cfg, x)
+    assert np.all(np.abs(mu) == 1.0)
+    cfg = T.PgmConfig(pend.cfg.alpha, pend.cfg.eta, pend.cfg.tol_benchmark, 2)
+    with pytest.raises(T.BenchmarkSolveError) as exc:
+        T.solve_benchmark(pend.qp, cfg, x)
+    assert exc.value.iterations == 2
+    assert exc.value.residual > cfg.tol_benchmark
