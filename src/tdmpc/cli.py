@@ -203,6 +203,15 @@ def _ell_list(conf):
     return default_ell_list()
 
 
+def _repeats(conf):
+    """Timing repetitions per step: an integer >= 0 (0 disables timing)."""
+    val = conf.get("repeats", 1)
+    whole = isinstance(val, float) and val.is_integer()
+    if not (whole or isinstance(val, int)) or isinstance(val, bool) or val < 0:
+        raise ConfigError(f"configuration key 'repeats' must be an integer >= 0, got {val!r}")
+    return int(val)
+
+
 def _nu_init(conf, qp, cfg, x0):
     mode = conf.get("nu_init", "zeros")
     if mode == "zeros":
@@ -313,7 +322,7 @@ def cmd_run(conf, out_dir, target, svg=False):
     model, qp, cfg, K = build_setup(conf)
     x0 = _vector(conf, "x0")
     T = int(_require(conf, "T"))
-    repeats = int(conf.get("repeats", 1))
+    repeats = _repeats(conf)
     if target == "benchmark":
         run = run_benchmark(model, qp, cfg, x0, T, repeats=repeats)
         name = "run_benchmark.csv"
@@ -339,7 +348,7 @@ def cmd_sweep(conf, out_dir, svg=False):
     model, qp, cfg, K = build_setup(conf)
     x0 = _vector(conf, "x0")
     T = int(_require(conf, "T"))
-    repeats = int(conf.get("repeats", 1))
+    repeats = _repeats(conf)
     ells = _ell_list(conf)
     certs = compute_certificates(
         model, qp, cfg, K, rng=rng, psi_samples=int(conf.get("psi_samples", 500))

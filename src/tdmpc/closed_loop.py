@@ -56,6 +56,8 @@ def _timed_loop(fn, repeats):
     reproducible byte for byte; repeats >= 1 averages that many identical
     evaluations.
     """
+    if repeats < 0:
+        raise NumericsError(f"timing repeats must be >= 0, got {repeats}")
     if repeats == 0:
         return fn(), 0.0
     total = 0.0

@@ -113,26 +113,33 @@ def _batched(v, dim, name):
     return v, squeeze
 
 
-def cost(qp, x, nu):
-    """J_N(x, nu); x may be (n,) or (n, batch) with nu shaped to match."""
+def _batched_pair(qp, x, nu):
+    """Check x (n,) or (n, batch) against nu shaped to match.
+
+    Returns (X, V, squeeze): both as (dim, batch) arrays, and whether a
+    result should drop its batch axis (both inputs were 1-D).
+    """
     X, sx = _batched(x, qp.W.shape[0], "x")
     V, sv = _batched(nu, qp.H.shape[0], "nu")
     if X.shape[1] != V.shape[1]:
         raise NumericsError("x and nu have mismatched batch sizes")
+    return X, V, sx and sv
+
+
+def cost(qp, x, nu):
+    """J_N(x, nu); x may be (n,) or (n, batch) with nu shaped to match."""
+    X, V, squeeze = _batched_pair(qp, x, nu)
     J = (X * (qp.W @ X)).sum(axis=0) + 2.0 * (V * (qp.G @ X)).sum(axis=0) + (
         V * (qp.H @ V)
     ).sum(axis=0)
-    return float(J[0]) if (sx and sv) else J
+    return float(J[0]) if squeeze else J
 
 
 def grad(qp, x, nu):
     """Gradient of J_N with respect to nu: 2 (H nu + G x)."""
-    X, sx = _batched(x, qp.W.shape[0], "x")
-    V, sv = _batched(nu, qp.H.shape[0], "nu")
-    if X.shape[1] != V.shape[1]:
-        raise NumericsError("x and nu have mismatched batch sizes")
+    X, V, squeeze = _batched_pair(qp, x, nu)
     g = 2.0 * (qp.H @ V + qp.G @ X)
-    return g[:, 0] if (sx and sv) else g
+    return g[:, 0] if squeeze else g
 
 
 def rollout_cost(model, Q, R, P, x, nu):

@@ -15,7 +15,7 @@ fallback and its test oracle.
 
 import numpy as np
 
-from .condensed import _batched, grad
+from .condensed import _batched, _batched_pair
 from .numerics import NumericsError, sym_eig
 
 
@@ -53,24 +53,37 @@ def pgm_config(qp, tol_benchmark=1e-12, iter_cap=10**6):
     return PgmConfig(alpha, eta, float(tol_benchmark), int(iter_cap))
 
 
+def _pgm_steps(qp, cfg, GX, V, ell):
+    """ell projected gradient steps on checked (dim, batch) arrays.
+
+    GX = G @ X is formed once by the caller.  min(max(., lo), hi) is what
+    np.clip computes for the finite bounds lo < hi, so every iterate is
+    the same, bit for bit, as the projection of V - 2 alpha (H V + G X).
+    """
+    H, a2 = qp.H, cfg.alpha * 2.0
+    lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    for _ in range(ell):
+        V = np.minimum(np.maximum(V - a2 * (H @ V + GX), lo), hi)
+    return V
+
+
 def pgm_step(qp, cfg, x, nu):
     """One projected gradient step on nu at parameter x; batched like cost/grad."""
-    X, sx = _batched(x, qp.W.shape[0], "x")
-    V, sv = _batched(nu, qp.H.shape[0], "nu")
-    if X.shape[1] != V.shape[1]:
-        raise NumericsError("x and nu have mismatched batch sizes")
-    out = qp.nu_box.project(V - cfg.alpha * 2.0 * (qp.H @ V + qp.G @ X))
-    return out[:, 0] if (sx and sv) else out
+    X, V, squeeze = _batched_pair(qp, x, nu)
+    out = _pgm_steps(qp, cfg, qp.G @ X, V, 1)
+    return out[:, 0] if squeeze else out
 
 
 def pgm_iterate(qp, cfg, x, nu, ell):
-    """Apply ell projected gradient steps; ell = 0 returns nu unchanged."""
+    """Apply ell projected gradient steps; ell = 0 returns a copy of nu."""
     if ell < 0:
         raise NumericsError(f"iteration count must be >= 0, got {ell}")
-    nu = np.asarray(nu, dtype=float).copy()
-    for _ in range(int(ell)):
-        nu = pgm_step(qp, cfg, x, nu)
-    return nu
+    X, V, squeeze = _batched_pair(qp, x, nu)
+    ell = int(ell)
+    if ell == 0:
+        return np.array(nu, dtype=float)
+    out = _pgm_steps(qp, cfg, qp.G @ X, V, ell)
+    return out[:, 0] if squeeze else out
 
 
 def _warm_start(qp, X, nu0):
@@ -128,7 +141,7 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     Vf = V[:, f]
     Vf[free] -= inv @ (HF @ Vf + GX[free][:, f])
     np.clip(Vf, lo, hi, out=Vf)
-    z = Vf - np.clip(Vf - cfg.alpha * 2.0 * (qp.H @ Vf + GX[:, f]), lo, hi)
+    z = Vf - _pgm_steps(qp, cfg, GX[:, f], Vf, 1)
     V[:, f] = Vf
     residual = np.full(V.shape[1], np.inf)
     residual[f] = np.linalg.norm(z, axis=0) / (1.0 + np.linalg.norm(Vf, axis=0))
@@ -207,10 +220,11 @@ def solve_benchmark_pgm(qp, cfg, x, nu0=None):
     """
     X, sx = _batched(x, qp.W.shape[0], "x")
     V = _warm_start(qp, X, nu0)
+    GX = qp.G @ X
     tol = cfg.tol_benchmark
     residual = np.inf
     for it in range(1, cfg.iter_cap + 1):
-        V_next = pgm_step(qp, cfg, X, V)
+        V_next = _pgm_steps(qp, cfg, GX, V, 1)
         diff = np.linalg.norm(V_next - V, axis=0)
         size = 1.0 + np.linalg.norm(V_next, axis=0)
         V = V_next

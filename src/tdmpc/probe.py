@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .numerics import NumericsError
-from .pgm import pgm_step, solve_benchmark
+from .pgm import _pgm_steps, solve_benchmark
 
 
 class ProbeError(Exception):
@@ -225,15 +225,16 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
     X = sampler(rng, samples)
     NU0 = qp.nu_box.sample(rng, samples)
     ells = rng.integers(1, ell_max + 1, size=samples)
-    MU = solve_benchmark(qp, cfg, X, NU0)
+    MU = solve_benchmark(qp, cfg, X, NU0)  # also checks the shapes of X and NU0
+    GX = qp.G @ X
     norm0 = np.linalg.norm(NU0 - MU, axis=0)
     size = 1.0 + np.linalg.norm(MU, axis=0)
-    residual = np.linalg.norm(MU - pgm_step(qp, cfg, X, MU), axis=0)
+    residual = np.linalg.norm(MU - _pgm_steps(qp, cfg, GX, MU, 1), axis=0)
     resolution = (residual + np.finfo(float).eps * size) / (1.0 - cfg.eta)
     ratios = np.zeros(samples)
-    V = NU0.copy()
+    V = NU0
     for k in range(1, ell_max + 1):
-        V = pgm_step(qp, cfg, X, V)
+        V = _pgm_steps(qp, cfg, GX, V, 1)
         mask = ells == k
         if np.any(mask):
             num = np.linalg.norm(V[:, mask] - MU[:, mask], axis=0)

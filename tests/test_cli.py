@@ -228,3 +228,20 @@ def test_svg_plot_handles_empty_series(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg")
     assert "polyline" not in text
+
+
+def test_negative_repeats_flag_exits_1(tmp_path, capsys):
+    conf = write_conf(tmp_path)
+    code = cli.main(["--config", conf, "--out", str(tmp_path), "--repeats", "-1", "run", "6"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'repeats'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_fractional_repeats_key_exits_1(tmp_path, capsys):
+    conf = write_conf(tmp_path, extra="repeats = 2.5\n")
+    assert cli.main(["--config", conf, "--out", str(tmp_path), "run", "6"]) == 1
+    assert cli.main(["--config", conf, "--out", str(tmp_path), "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 2 and "2.5" in err

@@ -167,3 +167,10 @@ def test_csv_round_trip_benchmark(tmp_path, pend, pend_bench):
     # final row carries the terminal state and empty input cells
     last = path.read_text().splitlines()[-1]
     assert last.split(",")[2] != "" and last.split(",")[3] == ""
+
+
+def test_negative_repeats_raises(pend):
+    with pytest.raises(T.NumericsError, match="repeats"):
+        T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 3, 2, repeats=-1)
+    with pytest.raises(T.NumericsError, match="repeats"):
+        T.run_benchmark(pend.model, pend.qp, pend.cfg, pend.x0, 2, repeats=-1)

@@ -266,3 +266,83 @@ def test_active_set_cap_with_capped_fallback_raises(pend):
         T.solve_benchmark(pend.qp, cfg, x)
     assert exc.value.iterations == 2
     assert exc.value.residual > cfg.tol_benchmark
+
+
+# --- lean controller loop: same iterates, bit for bit ---
+
+
+def _clip_loop(qp, cfg, x, nu, ell):
+    """The projected gradient loop written with np.clip and G @ x per step."""
+    X = x if x.ndim == 2 else x[:, None]
+    V = nu if nu.ndim == 2 else nu[:, None]
+    lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    for _ in range(ell):
+        V = np.clip(V - cfg.alpha * 2.0 * (qp.H @ V + qp.G @ X), lo, hi)
+    return V[:, 0] if (x.ndim == 1 and nu.ndim == 1) else V
+
+
+def _problems(pend, random_instance, rng, count):
+    yield pend.model, pend.qp, pend.cfg
+    for _ in range(count):
+        model, qp, cfg, _ = random_instance(rng)
+        yield model, qp, cfg
+
+
+def test_iterate_is_bit_identical_to_clip_loop(pend, random_instance):
+    rng = np.random.default_rng(29)
+    saturated = 0
+    for model, qp, cfg in _problems(pend, random_instance, rng, 24):
+        box = qp.nu_box
+        # scales from the interior to far outside, where every bound saturates
+        scales = np.logspace(-2.0, 4.0, 8)
+        X = rng.standard_normal((model.n, scales.size)) * scales
+        NU = box.sample(rng, scales.size)
+        ell = int(rng.integers(1, 40))
+        out = T.pgm_iterate(qp, cfg, X, NU, ell)
+        assert np.array_equal(out, _clip_loop(qp, cfg, X, NU, ell))
+        at_bound = (out == box.lower[:, None]) | (out == box.upper[:, None])
+        saturated += int(np.sum(np.all(at_bound, axis=0)))
+        for j in range(scales.size):
+            single = T.pgm_iterate(qp, cfg, X[:, j], NU[:, j], ell)
+            assert single.shape == (qp.H.shape[0],)
+            assert np.array_equal(single, _clip_loop(qp, cfg, X[:, j], NU[:, j], ell))
+    assert saturated > 0
+
+
+def test_iterate_leaves_nu_unchanged(pend):
+    rng = np.random.default_rng(30)
+    X = rng.standard_normal((2, 4))
+    NU = pend.qp.nu_box.sample(rng, 4)
+    for x, nu in ((X, NU), (X[:, 0], NU[:, 0])):
+        before = nu.copy()
+        for ell in (0, 1, 7):
+            out = T.pgm_iterate(pend.qp, pend.cfg, x, nu, ell)
+            assert out is not nu
+            out += 1.0
+            assert np.array_equal(nu, before)
+
+
+def test_step_equals_one_iteration(pend, random_instance):
+    rng = np.random.default_rng(31)
+    for model, qp, cfg in _problems(pend, random_instance, rng, 20):
+        X = rng.standard_normal((model.n, 5)) * np.logspace(-2.0, 4.0, 5)
+        NU = qp.nu_box.sample(rng, 5)
+        assert np.array_equal(T.pgm_step(qp, cfg, X, NU), T.pgm_iterate(qp, cfg, X, NU, 1))
+        assert np.array_equal(T.pgm_step(qp, cfg, X[:, 0], NU[:, 0]),
+                              T.pgm_iterate(qp, cfg, X[:, 0], NU[:, 0], 1))
+
+
+def test_pair_checks_share_one_message(pend):
+    X = np.zeros((2, 3))
+    NU = np.zeros((pend.qp.H.shape[0], 2))
+    calls = (
+        lambda: T.cost(pend.qp, X, NU),
+        lambda: T.grad(pend.qp, X, NU),
+        lambda: T.pgm_step(pend.qp, pend.cfg, X, NU),
+        lambda: T.pgm_iterate(pend.qp, pend.cfg, X, NU, 3),
+    )
+    for call in calls:
+        with pytest.raises(T.NumericsError, match="x and nu have mismatched batch sizes"):
+            call()
+    with pytest.raises(T.NumericsError, match="nu has leading dimension 4"):
+        T.pgm_iterate(pend.qp, pend.cfg, X[:, 0], np.zeros(4), 2)
