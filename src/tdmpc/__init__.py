@@ -40,7 +40,6 @@ from .gap import (
     eta_tilde,
     eta_tilde_mpc,
     gap_bound,
-    gap_bound_mpc,
 )
 from .numerics import (
     NumericsError,

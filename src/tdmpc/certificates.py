@@ -10,6 +10,7 @@ relies on a structural property of the problem.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .numerics import (
     weighted_extremes,
 )
 from .pgm import solve_benchmark
+from .report import field_pairs, kv_lines
 
 
 class CertificateError(Exception):
@@ -257,73 +259,37 @@ def roa_membership(x, nu, certs, qp, cfg):
     return bool(in_gamma), in_sigma
 
 
+@dataclass
 class Certificates:
     """Bundle of certified constants for one problem instance."""
 
-    def __init__(self, N, alpha, eta, L, beta, psi_decay_worst, c, d, r_N,
-                 omega, sigma, kappa, ell_star_raw, ell_star, tau, eps,
-                 M_x, M_u, M_bar, ediss):
-        self.N = N
-        self.alpha = alpha
-        self.eta = eta
-        self.L = L
-        self.beta = beta
-        self.psi_decay_worst = psi_decay_worst
-        self.c = c
-        self.d = d
-        self.r_N = r_N
-        self.omega = omega
-        self.sigma = sigma
-        self.kappa = kappa
-        self.ell_star_raw = ell_star_raw
-        self.ell_star = ell_star
-        self.tau = tau
-        self.eps = eps
-        self.M_x = M_x
-        self.M_u = M_u
-        self.M_bar = M_bar
-        self.ediss = ediss
+    N: int
+    alpha: float
+    eta: float
+    L: float
+    beta: float
+    psi_decay_worst: float | None
+    c: float
+    d: float
+    r_N: float
+    omega: float
+    sigma: float
+    kappa: float
+    ell_star_raw: float
+    ell_star: int
+    tau: float
+    eps: float
+    M_x: float
+    M_u: float
+    M_bar: float | None
+    ediss: object  # last field: the EdissFit behind M_bar, or None
 
     def to_lines(self):
-        """Flat key = value report, one constant per line."""
-        pairs = [
-            ("N", self.N),
-            ("alpha", self.alpha),
-            ("eta", self.eta),
-            ("L", self.L),
-            ("beta", self.beta),
-            ("psi_decay_worst", self.psi_decay_worst),
-            ("c", self.c),
-            ("d", self.d),
-            ("r_N", self.r_N),
-            ("omega", self.omega),
-            ("sigma", self.sigma),
-            ("kappa", self.kappa),
-            ("ell_star_raw", self.ell_star_raw),
-            ("ell_star", self.ell_star),
-            ("tau", self.tau),
-            ("eps", self.eps),
-            ("M_x", self.M_x),
-            ("M_u", self.M_u),
-            ("M_bar", self.M_bar),
-        ]
+        """Flat key = value report: every constant, then the fit under ediss_ keys."""
+        pairs = field_pairs(self)[:-1]
         if self.ediss is not None:
-            pairs += [
-                ("ediss_c0", self.ediss.c0),
-                ("ediss_c_w", self.ediss.c_w),
-                ("ediss_rho", self.ediss.rho),
-                ("ediss_r_w", self.ediss.r_w),
-            ]
-        lines = []
-        for key, val in pairs:
-            if val is None:
-                # M_bar needs the fitted incremental-stability constants
-                lines.append(f"{key} = pending probe" if key == "M_bar" else f"{key} = none")
-            elif isinstance(val, int):
-                lines.append(f"{key} = {val}")
-            else:
-                lines.append(f"{key} = {float(val)!r}")
-        return lines
+            pairs += [(f"ediss_{k}", getattr(self.ediss, k)) for k in ("c0", "c_w", "rho", "r_w")]
+        return kv_lines(pairs)
 
 
 def compute_certificates(model, qp, cfg, K, rng=None, psi_samples=500, ediss=None):

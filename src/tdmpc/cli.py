@@ -16,6 +16,7 @@ import ast
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,17 +24,17 @@ from .certificates import (
     CertificateError,
     compute_certificates,
     sample_gamma,
+    stage_cost_lipschitz,
 )
 from .closed_loop import (
     cost_JT,
-    path_vectors,
     run_benchmark,
     run_tdmpc,
     truncate_run,
     write_run_csv,
 )
 from .condensed import build_condensed
-from .gap import chain_bound, complexity_term, empirical_gap, eta_tilde_mpc
+from .gap import build_gap_report
 from .numerics import NumericsError, mat_inv_sqrt, solve_dare, spectral_norm
 from .pgm import BenchmarkSolveError, pgm_config, solve_benchmark
 from .plant import BoxSet, LtiModel
@@ -45,6 +46,7 @@ from .probe import (
     lyapunov_finite_horizon,
     make_benchmark_evaluator,
 )
+from .report import kv_lines
 
 
 class ConfigError(Exception):
@@ -131,24 +133,36 @@ def _require(conf, key):
     return conf[key]
 
 
-def _matrix(conf, key):
-    val = _require(conf, key)
+def _array(conf, key):
     try:
-        M = np.asarray(val, dtype=float)
+        return np.asarray(_require(conf, key), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"configuration key {key!r} is not numeric: {exc}") from exc
+
+
+def _matrix(conf, key):
+    M = _array(conf, key)
     if M.ndim != 2:
         raise ConfigError(f"configuration key {key!r} must be a matrix (list of rows)")
     return M
 
 
 def _vector(conf, key):
-    val = _require(conf, key)
-    try:
-        v = np.asarray(val, dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"configuration key {key!r} is not numeric: {exc}") from exc
-    return v
+    return _array(conf, key).ravel()
+
+
+def _whole(key, val, minimum):
+    """val as an int; a bool, a string or a fraction is a configuration error."""
+    whole = isinstance(val, float) and val.is_integer()
+    if not (whole or isinstance(val, int)) or isinstance(val, bool) or val < minimum:
+        raise ConfigError(f"configuration key {key!r} must be an integer >= {minimum}, got {val!r}")
+    return int(val)
+
+
+def _int(conf, key, default=None, minimum=1):
+    """Checked integer value of key; without a default the key is required."""
+    val = _require(conf, key) if default is None else conf.get(key, default)
+    return _whole(key, val, minimum)
 
 
 def build_model(conf):
@@ -172,12 +186,12 @@ def build_setup(conf, N=None):
     """Condensed QP and optimizer configuration for the configured horizon."""
     model, Q, R, box, P, K = build_model(conf)
     if N is None:
-        N = int(_require(conf, "N"))
+        N = _int(conf, "N")
     qp = build_condensed(model, Q, R, P, N, box)
     cfg = pgm_config(
         qp,
         tol_benchmark=float(conf.get("tol_benchmark", 1e-12)),
-        iter_cap=int(conf.get("iter_cap", 10**6)),
+        iter_cap=_int(conf, "iter_cap", 10**6),
     )
     return model, qp, cfg, K
 
@@ -194,22 +208,16 @@ def _ell_list(conf):
         ells = conf["ell_list"]
         if not isinstance(ells, (list, tuple)) or not ells:
             raise ConfigError("configuration key 'ell_list' must be a nonempty list")
-        out = set()
-        for e in ells:
-            if int(e) != e or int(e) < 1:
-                raise ConfigError(f"iteration budgets must be positive integers, got {e}")
-            out.add(int(e))
-        return sorted(out)
+        return sorted({_whole("ell_list", e, 1) for e in ells})
     return default_ell_list()
 
 
-def _repeats(conf):
-    """Timing repetitions per step: an integer >= 0 (0 disables timing)."""
-    val = conf.get("repeats", 1)
-    whole = isinstance(val, float) and val.is_integer()
-    if not (whole or isinstance(val, int)) or isinstance(val, bool) or val < 0:
-        raise ConfigError(f"configuration key 'repeats' must be an integer >= 0, got {val!r}")
-    return int(val)
+def _closed_loop_inputs(conf, model):
+    """Initial state, horizon T and timing repeats per step (0 disables timing)."""
+    x0 = _vector(conf, "x0")
+    if x0.size != model.n:
+        raise ConfigError(f"configuration key 'x0' has {x0.size} entries, expected {model.n}")
+    return x0, _int(conf, "T"), _int(conf, "repeats", 1, minimum=0)
 
 
 def _nu_init(conf, qp, cfg, x0):
@@ -226,6 +234,13 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _report(path, lines):
+    """Write a report and echo it to stdout."""
+    _write_lines(path, lines)
+    print("\n".join(lines))
+    print(f"wrote {path}")
+
+
 def _gamma_sampler(qp, cfg, r_N):
     return lambda rng, count: sample_gamma(qp, cfg, r_N, rng, count)
 
@@ -237,17 +252,23 @@ def load_ediss_fit(path):
         if key not in conf:
             raise ConfigError(f"fit report {path} is missing key {key!r}")
     return EdissFit(
-        float(conf["c0"]), float(conf["c_w"]), float(conf["rho"]),
-        float(conf["r_w"]), int(conf.get("pairs", 0)),
-        int(conf.get("horizon", 0)), float(conf.get("worst_slack", 0.0)),
+        float(conf["c0"]), float(conf["c_w"]), float(conf["rho"]), float(conf["r_w"]),
+        _int(conf, "pairs", 0, minimum=0), _int(conf, "horizon", 0, minimum=0),
+        float(conf.get("worst_slack", 0.0)),
     )
+
+
+def _saved_fit(out_dir):
+    """The fit report a probe left in the output directory (None if absent), and its path."""
+    path = os.path.join(out_dir, "ediss_fit.txt")
+    return (load_ediss_fit(path) if os.path.exists(path) else None), path
 
 
 def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs_r_N, rng):
     """Reuse a fit report from the output directory or compute a fresh one."""
-    path = os.path.join(out_dir, "ediss_fit.txt")
-    if os.path.exists(path):
-        return load_ediss_fit(path), path
+    fit, path = _saved_fit(out_dir)
+    if fit is not None:
+        return fit, path
     evaluator = make_benchmark_evaluator(model, qp, cfg)
     sampler = _gamma_sampler(qp, cfg, certs_r_N)
     r_w = float(
@@ -255,129 +276,106 @@ def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs_r_N, rng):
     )
     fit = fit_ediss(
         evaluator, sampler, rng, r_w,
-        pairs=int(conf.get("ediss_pairs", 200)),
-        horizon=int(conf.get("ediss_horizon", 60)),
-        holdout_pairs=int(conf.get("ediss_holdout", 100)),
+        pairs=_int(conf, "ediss_pairs", 200),
+        horizon=_int(conf, "ediss_horizon", 60),
+        holdout_pairs=_int(conf, "ediss_holdout", 100),
     )
     _write_lines(path, fit.to_lines())
     return fit, path
 
 
-def cmd_constants(conf, out_dir, svg=False):
-    rng = np.random.default_rng(int(conf.get("seed", 0)))
+def _rng(conf):
+    return np.random.default_rng(_int(conf, "seed", 0, minimum=0))
+
+
+def cmd_constants(conf, out_dir):
+    rng = _rng(conf)
     model, qp, cfg, K = build_setup(conf)
     # reuse incremental-stability constants when a probe already ran into
     # this output directory; M_bar stays pending otherwise
-    fit = None
-    fit_path = os.path.join(out_dir, "ediss_fit.txt")
-    if os.path.exists(fit_path):
-        fit = load_ediss_fit(fit_path)
     certs = compute_certificates(
         model, qp, cfg, K, rng=rng,
-        psi_samples=int(conf.get("psi_samples", 500)), ediss=fit,
+        psi_samples=_int(conf, "psi_samples", 500), ediss=_saved_fit(out_dir)[0],
     )
-    path = os.path.join(out_dir, "constants.txt")
-    lines = certs.to_lines()
-    _write_lines(path, lines)
-    for line in lines:
-        print(line)
-    print(f"wrote {path}")
+    _report(os.path.join(out_dir, "constants.txt"), certs.to_lines())
     return 0
 
 
-def cmd_probe(conf, out_dir, svg=False):
-    rng = np.random.default_rng(int(conf.get("seed", 0)))
+def cmd_probe(conf, out_dir):
+    rng = _rng(conf)
     model, qp, cfg, K = build_setup(conf)
     certs = compute_certificates(model, qp, cfg, K)
     fit, fit_path = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
     sampler = _gamma_sampler(qp, cfg, certs.r_N)
     worst = audit_contraction(
         qp, cfg, sampler, rng,
-        samples=int(conf.get("contraction_samples", 1000)),
-        ell_max=int(conf.get("contraction_ell_max", 50)),
+        samples=_int(conf, "contraction_samples", 1000),
+        ell_max=_int(conf, "contraction_ell_max", 50),
     )
     lyap = lyapunov_finite_horizon(
         make_benchmark_evaluator(model, qp, cfg), sampler, rng,
-        N_V=int(conf.get("lyap_nv", 12)),
-        samples=int(conf.get("lyap_samples", 200)),
-        fit_horizon=int(conf.get("ediss_horizon", 60)),
+        N_V=_int(conf, "lyap_nv", 12),
+        samples=_int(conf, "lyap_samples", 200),
+        fit_horizon=_int(conf, "ediss_horizon", 60),
     )
-    lines = []
-    lines += fit.to_lines()
-    lines.append(f"contraction_worst = {worst!r}")
-    lines += lyap.to_lines()
-    path = os.path.join(out_dir, "probe_report.txt")
-    _write_lines(path, lines)
-    for line in lines:
-        print(line)
     print(f"wrote {fit_path}")
-    print(f"wrote {path}")
+    _report(os.path.join(out_dir, "probe_report.txt"),
+            fit.to_lines() + kv_lines([("contraction_worst", worst)]) + lyap.to_lines())
     if not lyap.passed:
         print("lyapunov sandwich or decrease check failed", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_run(conf, out_dir, target, svg=False):
+def cmd_run(conf, out_dir, target):
+    if target != "benchmark" and not (str(target).isdigit() and int(target) >= 1):
+        raise ConfigError(
+            f"run target must be an iteration budget >= 1 or 'benchmark', got {target!r}"
+        )
     model, qp, cfg, K = build_setup(conf)
-    x0 = _vector(conf, "x0")
-    T = int(_require(conf, "T"))
-    repeats = _repeats(conf)
+    x0, T, repeats = _closed_loop_inputs(conf, model)
     if target == "benchmark":
         run = run_benchmark(model, qp, cfg, x0, T, repeats=repeats)
         name = "run_benchmark.csv"
     else:
         ell = int(target)
-        if ell < 1:
-            raise ConfigError(f"iteration budget must be >= 1, got {ell}")
         nu0 = _nu_init(conf, qp, cfg, x0)
         run = run_tdmpc(model, qp, cfg, x0, ell, T, nu_init=nu0, repeats=repeats)
         name = f"run_ell{ell}.csv"
     path = os.path.join(out_dir, name)
     write_run_csv(run, path)
     J = cost_JT(run, qp.Q, qp.R, qp.P)
-    print(f"J_T = {J!r}")
-    print(f"steps = {run.T}")
-    print(f"stable = {int(run.stable)}")
+    print("\n".join(kv_lines([("J_T", J), ("steps", run.T), ("stable", run.stable)])))
     print(f"wrote {path}")
     return 0
 
 
 def cmd_sweep(conf, out_dir, svg=False):
-    rng = np.random.default_rng(int(conf.get("seed", 0)))
+    rng = _rng(conf)
     model, qp, cfg, K = build_setup(conf)
-    x0 = _vector(conf, "x0")
-    T = int(_require(conf, "T"))
-    repeats = _repeats(conf)
+    x0, T, repeats = _closed_loop_inputs(conf, model)
     ells = _ell_list(conf)
+    # the decay check draws from rng before the fit does
     certs = compute_certificates(
-        model, qp, cfg, K, rng=rng, psi_samples=int(conf.get("psi_samples", 500))
+        model, qp, cfg, K, rng=rng, psi_samples=_int(conf, "psi_samples", 500)
     )
     fit, _ = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
-    certs = compute_certificates(model, qp, cfg, K, ediss=fit)
+    certs = replace(certs, M_bar=stage_cost_lipschitz(qp, certs.r_N, fit)[2], ediss=fit)
 
     bench = run_benchmark(model, qp, cfg, x0, T, repeats=repeats)
     nu0 = _nu_init(conf, qp, cfg, x0)
-    header = ("ell,eta_pow_ell,R_T_empirical,complexity_cor1,bound_thm8,"
-              "S_T,S_T2,compute_time_s,stable_flag")
-    rows = [header]
+    rows = ["ell,eta_pow_ell,R_T_empirical,complexity_cor1,bound_thm8,"
+            "S_T,S_T2,compute_time_s,stable_flag"]
     plot_pts = []
     for ell in ells:
         run = run_tdmpc(model, qp, cfg, x0, ell, T, nu_init=nu0, repeats=repeats)
-        deltas, S_T, S_T2 = path_vectors(run)
-        rv = eta_tilde_mpc(certs.eta, run.ell_schedule)
-        bound = certs.M_bar * chain_bound(rv, certs.L, deltas, run.delta_u0_norm)
-        rate = certs.eta ** ell
-        complexity = complexity_term(rate, S_T)
-        R_T = empirical_gap(run, truncate_run(bench, run.T), qp.Q, qp.R, qp.P)
+        gap = build_gap_report(run, qp, certs, truncate_run(bench, run.T))
         compute_time = float(np.sum(run.solve_times))
-        rows.append(",".join([
-            str(ell), repr(float(rate)), repr(float(R_T)),
-            repr(float(complexity)), repr(float(bound)),
-            repr(float(S_T)), repr(float(S_T2)),
-            repr(compute_time), str(int(run.stable)),
-        ]))
-        plot_pts.append((ell, compute_time, R_T, complexity, bound))
+        cells = (gap.rate_max, gap.R_T, gap.complexity, gap.bound, gap.S_T, gap.S_T2,
+                 compute_time)
+        rows.append(",".join([str(ell), *(repr(float(v)) for v in cells),
+                              str(int(run.stable))]))
+        plot_pts.append((ell, compute_time, gap.R_T, gap.complexity, gap.bound))
         if not run.stable:
             print(f"ell = {ell}: closed loop diverged after {run.T} steps", file=sys.stderr)
     path = os.path.join(out_dir, "sweep.csv")
@@ -400,10 +398,10 @@ def cmd_sweep(conf, out_dir, svg=False):
     return 0
 
 
-def cmd_calibrate_n(conf, out_dir, svg=False):
+def cmd_calibrate_n(conf, out_dir):
     model, Q, R, box, P, K = build_model(conf)
     lo, hi = 0.91, 0.93
-    n_max = int(conf.get("calibrate_max", 40))
+    n_max = _int(conf, "calibrate_max", 40)
     lines = []
     chosen = None
     for N in range(1, n_max + 1):
@@ -415,11 +413,7 @@ def cmd_calibrate_n(conf, out_dir, svg=False):
             chosen = N
             lines.append(f"chosen_N = {N}")
             break
-    path = os.path.join(out_dir, "calibration.txt")
-    _write_lines(path, lines)
-    for line in lines:
-        print(line)
-    print(f"wrote {path}")
+    _report(os.path.join(out_dir, "calibration.txt"), lines)
     if chosen is None:
         print(
             f"no horizon up to {n_max} lands eta^6 in [{lo}, {hi}]", file=sys.stderr
@@ -437,11 +431,10 @@ def svg_line_plot(path, series, xlabel, ylabel):
     W, H = 720, 480
     ml, mr, mt, mb = 70, 20, 20, 50
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y):
-                pts.append((x, y))
+    series = [(label, [(x, y) for x, y in zip(xs, ys)
+                       if x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y)])
+              for label, xs, ys in series]
+    pts = [p for _, kept in series for p in kept]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}">',
@@ -481,12 +474,8 @@ def svg_line_plot(path, series, xlabel, ylabel):
                 f'<text x="{ml - 6}" y="{y + 4:.1f}" font-size="12" '
                 f'text-anchor="end">1e{k}</text>'
             )
-        for i, (label, xs, ys) in enumerate(series):
-            coords = [
-                f"{px(x):.1f},{py(y):.1f}"
-                for x, y in zip(xs, ys)
-                if x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y)
-            ]
+        for i, (label, kept) in enumerate(series):
+            coords = [f"{px(x):.1f},{py(y):.1f}" for x, y in kept]
             color = colors[i % len(colors)]
             if coords:
                 parts.append(
@@ -514,7 +503,7 @@ def svg_line_plot(path, series, xlabel, ylabel):
 def main(argv=None):
     # the shared flags are accepted both before and after the verb; the
     # SUPPRESS defaults keep the subparser pass from clobbering values
-    # already parsed ahead of the verb
+    # already parsed ahead of the verb, so the defaults live in the namespace
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="path to a key = value file")
     common.add_argument("--out", help="output directory (default: current)")
@@ -542,35 +531,18 @@ def main(argv=None):
     runp.add_argument("target", help="iteration budget or 'benchmark'")
     sub.add_parser("calibrate-N", parents=[common],
                    help="scan horizons for the target contraction factor")
-    args = parser.parse_args(argv)
-    args.config = getattr(args, "config", None)
-    args.out = getattr(args, "out", ".")
-    args.seed = getattr(args, "seed", None)
-    args.svg = getattr(args, "svg", False)
-    args.repeats = getattr(args, "repeats", None)
+    args = parser.parse_args(argv, argparse.Namespace(
+        config=None, out=".", seed=None, svg=False, repeats=None))
 
     try:
         conf = resolve_config(args)
         os.makedirs(args.out, exist_ok=True)
-        if args.verb == "constants":
-            return cmd_constants(conf, args.out, svg=args.svg)
         if args.verb == "sweep":
             return cmd_sweep(conf, args.out, svg=args.svg)
-        if args.verb == "probe":
-            return cmd_probe(conf, args.out, svg=args.svg)
         if args.verb == "run":
-            target = args.target
-            if target != "benchmark":
-                try:
-                    target = int(target)
-                except ValueError:
-                    raise ConfigError(
-                        f"run target must be an integer or 'benchmark', got {target!r}"
-                    ) from None
-            return cmd_run(conf, args.out, target, svg=args.svg)
-        if args.verb == "calibrate-N":
-            return cmd_calibrate_n(conf, args.out, svg=args.svg)
-        raise ConfigError(f"unknown verb {args.verb!r}")
+            return cmd_run(conf, args.out, args.target)
+        verbs = {"constants": cmd_constants, "probe": cmd_probe, "calibrate-N": cmd_calibrate_n}
+        return verbs[args.verb](conf, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

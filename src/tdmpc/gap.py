@@ -15,10 +15,13 @@ constant M_bar turns this into a bound on the cost gap
 R_T = J_T(truncated) - J_T(benchmark).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .closed_loop import cost_JT, path_vectors
 from .numerics import NumericsError
+from .report import field_pairs, kv_lines
 
 
 class RateVector:
@@ -120,54 +123,25 @@ def complexity_term(rate, S_T, a_l1=0.0):
     return rate / (1.0 - rate) * (S_T + a_l1)
 
 
-def gap_bound_mpc(M_bar, L, eta, ell_schedule, deltas, delta_u0_norm):
-    """Cost-gap bound for the truncated MPC loop (no exogenous drift)."""
-    rv = eta_tilde_mpc(eta, ell_schedule)
-    return gap_bound(M_bar, L, rv, deltas, delta_u0_norm)
-
-
+@dataclass
 class GapReport:
     """Empirical gap and its certified bounds for one truncated run."""
 
-    def __init__(self, T, R_T, S_T, S_T2, delta_u0_norm, rate_max, chain,
-                 bound, complexity, M_bar, L, eta):
-        self.T = T
-        self.R_T = R_T
-        self.S_T = S_T
-        self.S_T2 = S_T2
-        self.delta_u0_norm = delta_u0_norm
-        self.rate_max = rate_max
-        self.chain = chain
-        self.bound = bound
-        self.complexity = complexity
-        self.M_bar = M_bar
-        self.L = L
-        self.eta = eta
+    T: int
+    R_T: float | None
+    S_T: float
+    S_T2: float
+    delta_u0: float
+    rate_max: float
+    chain: float
+    bound: float | None
+    complexity: float
+    M_bar: float | None
+    L: float
+    eta: float
 
     def to_lines(self):
-        pairs = [
-            ("T", self.T),
-            ("R_T", self.R_T),
-            ("S_T", self.S_T),
-            ("S_T2", self.S_T2),
-            ("delta_u0", self.delta_u0_norm),
-            ("rate_max", self.rate_max),
-            ("chain", self.chain),
-            ("bound", self.bound),
-            ("complexity", self.complexity),
-            ("M_bar", self.M_bar),
-            ("L", self.L),
-            ("eta", self.eta),
-        ]
-        lines = []
-        for key, val in pairs:
-            if val is None:
-                lines.append(f"{key} = none")
-            elif isinstance(val, int):
-                lines.append(f"{key} = {val}")
-            else:
-                lines.append(f"{key} = {float(val)!r}")
-        return lines
+        return kv_lines(field_pairs(self))
 
 
 def build_gap_report(run_sub, qp, certs, run_bench=None):
@@ -182,7 +156,9 @@ def build_gap_report(run_sub, qp, certs, run_bench=None):
         raise NumericsError("gap report needs a truncated run with an iteration schedule")
     deltas, S_T, S_T2 = path_vectors(run_sub)
     rv = eta_tilde_mpc(certs.eta, run_sub.ell_schedule)
-    rate_max = float(np.max(rv.rates))
+    # a Python power, bit for bit the eta ** ell of a constant schedule;
+    # the vectorized power behind rv.rates can differ in the last bit
+    rate_max = certs.eta ** int(min(run_sub.ell_schedule))
     chain = chain_bound(rv, certs.L, deltas, run_sub.delta_u0_norm)
     bound = None if certs.M_bar is None else certs.M_bar * chain
     complexity = complexity_term(rate_max, S_T)

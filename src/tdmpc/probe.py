@@ -8,11 +8,13 @@ whose sandwich and decrease inequalities are verified on samples.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import NumericsError
 from .pgm import _pgm_steps, solve_benchmark
+from .report import field_pairs, kv_lines
 
 
 class ProbeError(Exception):
@@ -67,34 +69,74 @@ def make_benchmark_evaluator(model, qp, cfg):
     return evaluator
 
 
+@dataclass
 class EdissFit:
     """Fitted incremental-stability constants of the benchmark loop."""
 
-    def __init__(self, c0, c_w, rho, r_w, pairs, horizon, worst_slack):
-        self.c0 = c0
-        self.c_w = c_w
-        self.rho = rho
-        self.r_w = r_w
-        self.pairs = pairs
-        self.horizon = horizon
-        self.worst_slack = worst_slack
+    c0: float
+    c_w: float
+    rho: float
+    r_w: float
+    pairs: int
+    horizon: int
+    worst_slack: float
 
     def to_lines(self):
-        return [
-            f"c0 = {float(self.c0)!r}",
-            f"c_w = {float(self.c_w)!r}",
-            f"rho = {float(self.rho)!r}",
-            f"r_w = {float(self.r_w)!r}",
-            f"pairs = {int(self.pairs)}",
-            f"horizon = {int(self.horizon)}",
-            f"worst_slack = {float(self.worst_slack)!r}",
-        ]
+        return kv_lines(field_pairs(self))
 
 
 def _pair_deviations(evaluator, Xa, Xb, horizon, disturbances=None):
     Sa = evaluator(Xa, horizon)
     Sb = evaluator(Xb, horizon, disturbances)
     return np.linalg.norm(Sa - Sb, axis=1)  # (horizon+1, pairs)
+
+
+def _geometric_envelope(traj, error, empty, growing, clamp):
+    """Envelope traj[k] <= const rate^k traj[0] of (K+1, samples) norms.
+
+    Drops samples with traj[0] <= 1e-12.  The rate is the worst per-step
+    rate over the tail half k >= K/2 (the asymptotic regime), then clamped
+    by the caller's clamp; const absorbs the transient.  Returns (rate,
+    const, kept traj); error(empty) or error(growing ...) on failure.
+    """
+    keep = traj[0] > 1e-12
+    if not np.any(keep):
+        raise error(empty)
+    traj = traj[:, keep]
+    base = traj[0]
+    K = traj.shape[0] - 1
+    rate = 0.0
+    for k in range(max(K // 2, 1), K + 1):
+        ratios = traj[k] / base
+        pos = ratios > 0.0
+        if np.any(pos):
+            rate = max(rate, float(np.max(ratios[pos] ** (1.0 / k))))
+    if rate >= 1.0:
+        raise error(f"{growing}: fitted rate {rate:.6f}")
+    rate = clamp(rate)
+    pows = rate ** np.arange(K + 1)
+    return rate, float(np.max(traj / (pows[:, None] * base[None, :]))), traj
+
+
+def _holdout_margins(dev, wnorms, rho, c0, c_w):
+    """Worst violation factor and worst relative slack of a holdout envelope.
+
+    The envelope at step k is c0 rho^k dev[0] + c_w sum_{i<k} rho^(k-i-1)
+    wnorms[i] for deviations dev (horizon+1, pairs) under disturbance
+    norms wnorms (horizon, pairs); the factor is 0 when no entry exceeds
+    it by more than 1e-9 relative.
+    """
+    horizon = wnorms.shape[0]
+    pows = np.array([rho ** j for j in range(horizon + 1)])  # Python powers
+    conv = np.zeros(dev.shape)
+    for i in range(horizon):  # per step, the same summands in the same order
+        conv[i + 1:] += pows[:horizon - i, None] * wnorms[i]
+    rhs = c0 * pows[:, None] * dev[0] + c_w * conv
+    bad = dev > rhs * (1.0 + 1e-9)
+    factor = float(np.max(dev[bad] / rhs[bad])) if np.any(bad) else 0.0
+    good = rhs > 0.0
+    slack = float(np.min((rhs[good] - dev[good]) / rhs[good])) if np.any(good) else math.inf
+    return factor, slack
 
 
 def fit_ediss(evaluator, sampler, rng, r_w, pairs=200, horizon=60,
@@ -119,27 +161,12 @@ def fit_ediss(evaluator, sampler, rng, r_w, pairs=200, horizon=60,
     # phase one: undisturbed pairs, rate from the tail, c0 over everything
     Xa = sampler(rng, pairs)
     Xb = sampler(rng, pairs)
-    dev = _pair_deviations(evaluator, Xa, Xb, horizon)
-    d0 = dev[0]
-    keep = d0 > 1e-12
-    if not np.any(keep):
-        raise EdissFitError("sampled trajectory pairs all coincide at the start")
-    dev = dev[:, keep]
-    d0 = d0[keep]
-    tail_start = max(horizon // 2, 1)
-    rho = 0.0
-    for k in range(tail_start, horizon + 1):
-        ratios = dev[k] / d0
-        pos = ratios > 0.0
-        if np.any(pos):
-            rho = max(rho, float(np.max(ratios[pos] ** (1.0 / k))))
-    if rho >= 1.0:
-        raise EdissFitError(
-            f"benchmark loop is not incrementally contracting: fitted rate {rho:.6f}"
-        )
-    rho = min(max(rho, 1e-6), 1.0 - 1e-6)
-    pows = rho ** np.arange(horizon + 1)
-    c0 = float(np.max(dev / (pows[:, None] * d0[None, :])))
+    rho, c0, _ = _geometric_envelope(
+        _pair_deviations(evaluator, Xa, Xb, horizon), EdissFitError,
+        "sampled trajectory pairs all coincide at the start",
+        "benchmark loop is not incrementally contracting",
+        lambda rate: min(max(rate, 1e-6), 1.0 - 1e-6),
+    )
 
     # phase two: single pulse per pair, gain from the post-pulse response
     Xc = sampler(rng, pairs)
@@ -167,27 +194,7 @@ def fit_ediss(evaluator, sampler, rng, r_w, pairs=200, horizon=60,
         dirs_h /= np.linalg.norm(dirs_h, axis=1, keepdims=True)
         Wh = dirs_h * mags_h[:, None, :]
         devh = _pair_deviations(evaluator, Xh, Yh, horizon, Wh)
-        wnorms = np.linalg.norm(Wh, axis=1)  # (horizon, holdout)
-        d0h = devh[0]
-        worst_factor = 0.0
-        worst_slack = math.inf
-        for k in range(horizon + 1):
-            conv = np.zeros(holdout_pairs)
-            for i in range(k):
-                conv += rho ** (k - i - 1) * wnorms[i]
-            rhs = c0_try * rho ** k * d0h + cw_try * conv
-            bad = devh[k] > rhs * (1.0 + 1e-9)
-            if np.any(bad):
-                worst_factor = max(
-                    worst_factor, float(np.max(devh[k][bad] / rhs[bad]))
-                )
-            good = rhs > 0.0
-            if np.any(good):
-                worst_slack = min(
-                    worst_slack,
-                    float(np.min((rhs[good] - devh[k][good]) / rhs[good])),
-                )
-        return worst_factor, worst_slack
+        return _holdout_margins(devh, np.linalg.norm(Wh, axis=1), rho, c0_try, cw_try)
 
     factor, slack = holdout_violation(c0, c_w)
     if factor > 0.0:
@@ -253,37 +260,24 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
     return worst
 
 
+@dataclass
 class LyapunovReport:
     """Finite-horizon Lyapunov certificate checked on samples."""
 
-    def __init__(self, N_V, c1, c2, beta_sq, d, lam, lower_margin,
-                 upper_margin, decrease_margin, samples, passed):
-        self.N_V = N_V
-        self.c1 = c1
-        self.c2 = c2
-        self.beta_sq = beta_sq
-        self.d = d
-        self.lam = lam
-        self.lower_margin = lower_margin
-        self.upper_margin = upper_margin
-        self.decrease_margin = decrease_margin
-        self.samples = samples
-        self.passed = passed
+    N_V: int
+    c1: float
+    c2: float
+    beta_sq: float
+    d: float
+    lam: float
+    lower_margin: float
+    upper_margin: float
+    decrease_margin: float
+    samples: int
+    passed: bool
 
     def to_lines(self):
-        return [
-            f"N_V = {int(self.N_V)}",
-            f"c1 = {float(self.c1)!r}",
-            f"c2 = {float(self.c2)!r}",
-            f"beta_sq = {float(self.beta_sq)!r}",
-            f"d = {float(self.d)!r}",
-            f"lam = {float(self.lam)!r}",
-            f"lower_margin = {float(self.lower_margin)!r}",
-            f"upper_margin = {float(self.upper_margin)!r}",
-            f"decrease_margin = {float(self.decrease_margin)!r}",
-            f"samples = {int(self.samples)}",
-            f"passed = {int(self.passed)}",
-        ]
+        return kv_lines(field_pairs(self))
 
 
 def lyapunov_finite_horizon(evaluator, sampler, rng, N_V, samples=200,
@@ -301,29 +295,12 @@ def lyapunov_finite_horizon(evaluator, sampler, rng, N_V, samples=200,
         raise LyapunovError(f"window length must be >= 1, got {N_V}")
     fit_horizon = max(fit_horizon, N_V + 1)
     X0 = sampler(rng, samples)
-    states = evaluator(X0, fit_horizon)
-    norms = np.linalg.norm(states, axis=1)  # (fit_horizon+1, samples)
+    lam, d, norms = _geometric_envelope(
+        np.linalg.norm(evaluator(X0, fit_horizon), axis=1), LyapunovError,
+        "all sampled initial states are numerically zero",
+        "trajectories do not decay geometrically", lambda rate: max(rate, 1e-6),
+    )
     base = norms[0]
-    keep = base > 1e-12
-    if not np.any(keep):
-        raise LyapunovError("all sampled initial states are numerically zero")
-    norms = norms[:, keep]
-    base = base[keep]
-
-    tail_start = max(fit_horizon // 2, 1)
-    lam = 0.0
-    for k in range(tail_start, fit_horizon + 1):
-        ratios = norms[k] / base
-        pos = ratios > 0.0
-        if np.any(pos):
-            lam = max(lam, float(np.max(ratios[pos] ** (1.0 / k))))
-    if lam >= 1.0:
-        raise LyapunovError(
-            f"trajectories do not decay geometrically: fitted rate {lam:.6f}"
-        )
-    lam = max(lam, 1e-6)
-    pows = lam ** np.arange(fit_horizon + 1)
-    d = float(np.max(norms / (pows[:, None] * base[None, :])))
 
     shrink = d * d * lam ** (2 * N_V)
     if shrink >= 1.0:
@@ -344,4 +321,4 @@ def lyapunov_finite_horizon(evaluator, sampler, rng, N_V, samples=200,
     decrease = float(np.min((beta_sq * V0 - V1) / V0))
     passed = lower >= -1e-9 and upper >= -1e-9 and decrease >= -1e-9
     return LyapunovReport(N_V, 1.0, c2, beta_sq, d, lam, lower, upper,
-                          decrease, int(keep.sum()), passed)
+                          decrease, norms.shape[1], passed)

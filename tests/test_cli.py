@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import tdmpc as T
 import tdmpc.cli as cli
 
 # small but complete pendulum configuration for fast end-to-end checks
@@ -201,6 +202,30 @@ def test_sweep_csv_contract(tmp_path, capsys):
     assert svg.startswith("<svg") and "iterations per step" in svg
 
 
+def test_sweep_rows_are_gap_reports(tmp_path):
+    # each row is build_gap_report for its budget, against certificates that
+    # carry M_bar from the fit the sweep saved; at ell = 40 the rate cell is
+    # the Python power eta ** 40, which the numpy power can miss in the last bit
+    conf_path = write_conf(tmp_path, extra="ell_list = [40, 3]\n")
+    out = tmp_path / "rows"
+    assert cli.main(["--config", conf_path, "--out", str(out), "sweep"]) == 0
+    conf = cli.resolve_config(argparse.Namespace(config=conf_path, seed=None, repeats=None))
+    model, qp, cfg, K = cli.build_setup(conf)
+    certs = T.compute_certificates(
+        model, qp, cfg, K, ediss=cli.load_ediss_fit(str(out / "ediss_fit.txt"))
+    )
+    x0 = np.asarray(conf["x0"], dtype=float)
+    bench = T.run_benchmark(model, qp, cfg, x0, conf["T"], repeats=0)
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    for row, ell in zip(rows, [3, 40], strict=True):
+        run = T.run_tdmpc(model, qp, cfg, x0, ell, conf["T"], repeats=0)
+        gap = T.build_gap_report(run, qp, certs, T.truncate_run(bench, run.T))
+        fields = (gap.rate_max, gap.R_T, gap.complexity, gap.bound, gap.S_T, gap.S_T2)
+        assert row == [str(ell), *(repr(float(v)) for v in fields), "0.0",
+                       str(int(run.stable))]
+    assert rows[1][1] == repr(certs.eta ** 40)
+
+
 def test_sweep_deterministic_across_directories(tmp_path):
     conf = write_conf(tmp_path)
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -245,3 +270,19 @@ def test_fractional_repeats_key_exits_1(tmp_path, capsys):
     assert cli.main(["--config", conf, "--out", str(tmp_path), "sweep"]) == 1
     err = capsys.readouterr().err
     assert err.count("configuration error") == 2 and "2.5" in err
+
+
+@pytest.mark.parametrize("extra, verbs, shown", [
+    ("N = five", ["run", "6"], "'five'"),
+    ("N = 2.5", ["sweep"], "2.5"),
+    ("T = 0", ["run", "benchmark"], "'T'"),
+    ("x0 = [1.0]", ["sweep"], "'x0'"),
+    ("seed = -1", ["constants"], "'seed'"),
+    ("ell_list = ['many']", ["sweep"], "'many'"),
+])
+def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
+    conf = write_conf(tmp_path, extra=extra + "\n")
+    assert cli.main(["--config", conf, "--out", str(tmp_path), *verbs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and shown in err
+    assert len(err.strip().splitlines()) == 1

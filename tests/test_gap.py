@@ -139,21 +139,11 @@ def test_complexity_dominates_chain_inner_product():
         assert inner <= agg * (1.0 + 1e-12)
 
 
-def test_gap_bound_mpc_is_uniform_rate_specialization():
-    rng = np.random.default_rng(52)
-    deltas = rng.uniform(0.0, 1.0, 5)
-    rv = T.eta_tilde_mpc(0.9, [4] * 6)
-    direct = T.gap_bound(3.0, 2.0, rv, deltas, 1.5)
-    assert T.gap_bound_mpc(3.0, 2.0, 0.9, [4] * 6, deltas, 1.5) == pytest.approx(
-        direct, rel=1e-14
-    )
-
-
 def test_bound_vanishes_with_iteration_count():
     deltas = np.ones(5)
     prev = np.inf
     for ell in [1, 5, 20, 100]:
-        b = T.gap_bound_mpc(1.0, 1.0, 0.8, [ell] * 6, deltas, 1.0)
+        b = T.gap_bound(1.0, 1.0, T.eta_tilde_mpc(0.8, [ell] * 6), deltas, 1.0)
         assert b < prev
         prev = b
     assert prev <= 1e-8
@@ -175,7 +165,9 @@ def test_build_gap_report_fields(pend, pend_certs, pend_bench, pend_fit):
     assert report.T == pend.T
     assert report.bound is None  # no combined cost constant without a fit
     assert report.R_T is not None
-    assert report.rate_max == pytest.approx(pend.cfg.eta ** 40, rel=1e-12)
+    # the Python power eta ** 40 exactly, as sweep.csv writes it; the numpy
+    # power behind the rate vector can differ from it in the last bit
+    assert report.rate_max == pend_certs.eta ** 40
     certs = T.compute_certificates(
         pend.model, pend.qp, pend.cfg, pend.K, rng=np.random.default_rng(1),
         psi_samples=50, ediss=pend_fit,

@@ -1,9 +1,12 @@
 """Empirical probes: incremental-stability fit, contraction audit, Lyapunov window."""
 
+import math
+
 import numpy as np
 import pytest
 
 import tdmpc as T
+from tdmpc.probe import _holdout_margins
 
 
 def linear_map_evaluator(A):
@@ -97,6 +100,42 @@ def test_fit_pendulum_benchmark_loop(pend_fit):
     assert pend_fit.worst_slack >= 0.0
     lines = pend_fit.to_lines()
     assert any(ln.startswith("rho = 0.9") for ln in lines)
+
+
+def holdout_double_loop(devh, wnorms, rho, c0, c_w):
+    """The step-by-step holdout check that _holdout_margins vectorizes."""
+    horizon, pairs = wnorms.shape
+    worst_factor = 0.0
+    worst_slack = math.inf
+    for k in range(horizon + 1):
+        conv = np.zeros(pairs)
+        for i in range(k):
+            conv += rho ** (k - i - 1) * wnorms[i]
+        rhs = c0 * rho ** k * devh[0] + c_w * conv
+        bad = devh[k] > rhs * (1.0 + 1e-9)
+        if np.any(bad):
+            worst_factor = max(worst_factor, float(np.max(devh[k][bad] / rhs[bad])))
+        good = rhs > 0.0
+        if np.any(good):
+            worst_slack = min(
+                worst_slack, float(np.min((rhs[good] - devh[k][good]) / rhs[good]))
+            )
+    return worst_factor, worst_slack
+
+
+def test_holdout_margins_equal_the_double_loop():
+    rng = np.random.default_rng(69)
+    violated = 0
+    for _ in range(40):
+        horizon, pairs = int(rng.integers(1, 70)), int(rng.integers(1, 15))
+        devh = rng.uniform(0.0, 1.0, (horizon + 1, pairs)) * 10.0 ** rng.uniform(-3.0, 1.0)
+        wnorms = rng.uniform(0.0, 0.1, (horizon, pairs))
+        rho = float(rng.uniform(0.05, 0.999))
+        c0, c_w = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.1, 3.0))
+        got = _holdout_margins(devh, wnorms, rho, c0, c_w)
+        assert got == holdout_double_loop(devh, wnorms, rho, c0, c_w)
+        violated += got[0] > 0.0
+    assert 0 < violated < 40  # both outcomes of the check are exercised
 
 
 # --- contraction audit ---
