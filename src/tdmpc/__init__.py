@@ -12,7 +12,6 @@ from .certificates import (
     lipschitz_L,
     psi_value,
     region_radius,
-    roa_membership,
     sample_gamma,
     stage_cost_lipschitz,
     tau_star,
@@ -29,7 +28,7 @@ from .closed_loop import (
     truncate_run,
     write_run_csv,
 )
-from .condensed import CondensedQp, build_condensed, cost, grad, rollout_cost
+from .condensed import CondensedQp, build_condensed, cost
 from .gap import (
     GapReport,
     RateVector,
@@ -39,7 +38,6 @@ from .gap import (
     empirical_gap,
     eta_tilde,
     eta_tilde_mpc,
-    gap_bound,
 )
 from .numerics import (
     NumericsError,
@@ -62,7 +60,7 @@ from .pgm import (
     solve_benchmark,
     solve_benchmark_pgm,
 )
-from .plant import BoxSet, LtiModel, step
+from .plant import BoxSet, LtiModel
 from .probe import (
     ContractionError,
     EdissFit,

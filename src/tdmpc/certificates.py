@@ -96,7 +96,7 @@ def check_psi_decay(model, qp, cfg, beta, r_N, rng, samples=500):
     X = sample_gamma(qp, cfg, r_N, rng, samples)
     NU = solve_benchmark(qp, cfg, X)
     psi0 = psi_value(qp, cfg, X, NU)
-    X_next = model.A @ X + model.B @ (qp.S @ NU)
+    X_next = model.step(X, qp.S @ NU)
     psi1 = psi_value(qp, cfg, X_next)
     ratios = psi1 / np.maximum(psi0, 1e-300)
     worst = float(np.max(ratios))
@@ -241,22 +241,6 @@ def stage_cost_lipschitz(qp, r_N, ediss=None):
     L_u = spectral_norm(qp.B_bar)
     M_bar = M_u + ediss.c_w * L_u * (M_u * L + M_x) / (1.0 - ediss.rho)
     return M_x, M_u, M_bar
-
-
-def roa_membership(x, nu, certs, qp, cfg):
-    """Membership of (x, nu) in the certified region and its combined version.
-
-    Returns (in_gamma, in_sigma): in_gamma tests psi(x) <= r_N, in_sigma
-    additionally tests ||nu - mu*(x)|| <= (1 - beta) * r_N / sigma.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    nu = np.asarray(nu, dtype=float).ravel()
-    slack = 1.0 + 1e-9
-    mu = solve_benchmark(qp, cfg, x)
-    in_gamma = psi_value(qp, cfg, x, mu) <= certs.r_N * slack
-    gap = float(np.linalg.norm(nu - mu))
-    in_sigma = bool(in_gamma) and gap <= (1.0 - certs.beta) * certs.r_N / certs.sigma * slack
-    return bool(in_gamma), in_sigma
 
 
 @dataclass

@@ -165,11 +165,19 @@ def _int(conf, key, default=None, minimum=1):
     return _whole(key, val, minimum)
 
 
+def _positive(conf, key, default=None):
+    """Checked finite float > 0 of key; without a default the key is required."""
+    val = _require(conf, key) if default is None else conf.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < math.inf:
+        raise ConfigError(f"configuration key {key!r} must be a finite number > 0, got {val!r}")
+    return float(val)
+
+
 def build_model(conf):
     """Plant, cost matrices, input box and terminal pair from a configuration."""
     if "A_c" in conf or "B_c" in conf:
         model = LtiModel.from_continuous(
-            _matrix(conf, "A_c"), _matrix(conf, "B_c"), float(_require(conf, "T_s"))
+            _matrix(conf, "A_c"), _matrix(conf, "B_c"), _positive(conf, "T_s")
         )
     elif "A" in conf or "B" in conf:
         model = LtiModel(_matrix(conf, "A"), _matrix(conf, "B"))
@@ -177,7 +185,14 @@ def build_model(conf):
         raise ConfigError("configuration must provide either (A, B) or (A_c, B_c, T_s)")
     Q = _matrix(conf, "Q")
     R = _matrix(conf, "R")
-    box = BoxSet(_vector(conf, "u_min"), _vector(conf, "u_max"))
+    try:
+        box = BoxSet(_vector(conf, "u_min"), _vector(conf, "u_max"))
+    except NumericsError as exc:
+        raise ConfigError(f"configuration keys 'u_min'/'u_max': {exc}") from exc
+    if box.dim != model.m:
+        raise ConfigError(
+            f"configuration keys 'u_min'/'u_max' have {box.dim} entries, expected {model.m}"
+        )
     P, K = solve_dare(model.A, model.B, Q, R)
     return model, Q, R, box, P, K
 
@@ -190,7 +205,7 @@ def build_setup(conf, N=None):
     qp = build_condensed(model, Q, R, P, N, box)
     cfg = pgm_config(
         qp,
-        tol_benchmark=float(conf.get("tol_benchmark", 1e-12)),
+        tol_benchmark=_positive(conf, "tol_benchmark", 1e-12),
         iter_cap=_int(conf, "iter_cap", 10**6),
     )
     return model, qp, cfg, K
@@ -271,9 +286,7 @@ def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs_r_N, rng):
         return fit, path
     evaluator = make_benchmark_evaluator(model, qp, cfg)
     sampler = _gamma_sampler(qp, cfg, certs_r_N)
-    r_w = float(
-        conf.get("r_w", 0.01 * certs_r_N * spectral_norm(mat_inv_sqrt(qp.P, "P")))
-    )
+    r_w = _positive(conf, "r_w", 0.01 * certs_r_N * spectral_norm(mat_inv_sqrt(qp.P, "P")))
     fit = fit_ediss(
         evaluator, sampler, rng, r_w,
         pairs=_int(conf, "ediss_pairs", 200),

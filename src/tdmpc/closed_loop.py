@@ -44,10 +44,6 @@ class ClosedLoopRun:
     def T(self):
         return self.applied.shape[0]
 
-    @property
-    def is_benchmark(self):
-        return self.ell_schedule is None
-
 
 def _timed_loop(fn, repeats):
     """Run fn() once (or `repeats` times for timing) and return (result, seconds).
@@ -97,7 +93,7 @@ def run_benchmark(model, qp, cfg, x0, T, repeats=1):
         )
         inputs[k] = mu
         applied[k] = qp.S @ mu
-        states[k + 1] = model.A @ xk + model.B @ applied[k]
+        states[k + 1] = model.step(xk, applied[k])
         warm = mu
     return ClosedLoopRun(states, inputs, applied, times)
 
@@ -162,7 +158,7 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
         d_norms[k] = np.linalg.norm(nu - mu)
         inputs[k] = nu
         applied[k] = qp.S @ nu
-        states[k + 1] = model.A @ xk + model.B @ applied[k]
+        states[k + 1] = model.step(xk, applied[k])
         steps_done = k + 1
         if np.linalg.norm(states[k + 1]) > blowup:
             stable = False

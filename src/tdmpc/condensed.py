@@ -13,7 +13,6 @@ and the closed-loop input applied to the plant is the first block S nu.
 import numpy as np
 
 from .numerics import NumericsError, _as_matrix, sym_eig
-from .plant import step
 
 
 class CondensedQp:
@@ -37,13 +36,6 @@ class CondensedQp:
         self.R = R
         self.P = P
         self.factor_cache = {}
-
-    @property
-    def M(self):
-        """Full quadratic form [[W, G'], [G, H]] of (x, nu) -> J_N(x, nu)."""
-        top = np.hstack([self.W, self.G.T])
-        bot = np.hstack([self.G, self.H])
-        return np.vstack([top, bot])
 
 
 def build_condensed(model, Q, R, P, N, u_box):
@@ -133,36 +125,3 @@ def cost(qp, x, nu):
         V * (qp.H @ V)
     ).sum(axis=0)
     return float(J[0]) if squeeze else J
-
-
-def grad(qp, x, nu):
-    """Gradient of J_N with respect to nu: 2 (H nu + G x)."""
-    X, V, squeeze = _batched_pair(qp, x, nu)
-    g = 2.0 * (qp.H @ V + qp.G @ X)
-    return g[:, 0] if squeeze else g
-
-
-def rollout_cost(model, Q, R, P, x, nu):
-    """Horizon cost evaluated by explicit simulation of the input sequence.
-
-    Steps the plant through the N input blocks of nu and accumulates
-    stage costs plus the terminal cost; serves as an independent check of
-    the condensed quadratic form.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    nu = np.asarray(nu, dtype=float).ravel()
-    m = model.m
-    if nu.size % m != 0:
-        raise NumericsError(f"input sequence length {nu.size} is not a multiple of {m}")
-    N = nu.size // m
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    P = np.asarray(P, dtype=float)
-    total = 0.0
-    xi = x
-    for i in range(N):
-        ui = nu[i * m:(i + 1) * m]
-        total += float(xi @ Q @ xi + ui @ R @ ui)
-        xi = step(model, xi, ui)
-    total += float(xi @ P @ xi)
-    return total

@@ -111,11 +111,6 @@ def chain_bound(rv, L, deltas, delta_u0_norm, a=None):
     return total
 
 
-def gap_bound(M_bar, L, rv, deltas, delta_u0_norm, a=None):
-    """Cost-gap bound: M_bar times the cumulative policy-error bound."""
-    return M_bar * chain_bound(rv, L, deltas, delta_u0_norm, a)
-
-
 def complexity_term(rate, S_T, a_l1=0.0):
     """Pathlength complexity rate/(1-rate) * (S_T + ||a||_1) for a constant rate."""
     if not 0.0 <= rate < 1.0:

@@ -68,7 +68,7 @@ def _pgm_steps(qp, cfg, GX, V, ell):
 
 
 def pgm_step(qp, cfg, x, nu):
-    """One projected gradient step on nu at parameter x; batched like cost/grad."""
+    """One projected gradient step on nu at parameter x; batched like cost."""
     X, V, squeeze = _batched_pair(qp, x, nu)
     out = _pgm_steps(qp, cfg, qp.G @ X, V, 1)
     return out[:, 0] if squeeze else out

@@ -6,14 +6,9 @@ from .numerics import NumericsError, _as_matrix, discretize_zoh
 
 
 class LtiModel:
-    """Discrete-time linear system x+ = A x + B u.
+    """Discrete-time linear system x+ = A x + B u."""
 
-    Optionally carries the continuous-time matrices and sampling time it
-    was discretized from, for reporting only; the dynamics used everywhere
-    are the discrete pair (A, B).
-    """
-
-    def __init__(self, A, B, A_c=None, B_c=None, T_s=None):
+    def __init__(self, A, B):
         self.A = _as_matrix(A, "A")
         self.B = _as_matrix(B, "B")
         if self.A.shape[0] != self.A.shape[1]:
@@ -25,26 +20,15 @@ class LtiModel:
             )
         self.n = self.A.shape[0]
         self.m = self.B.shape[1]
-        self.A_c = None if A_c is None else _as_matrix(A_c, "A_c")
-        self.B_c = None if B_c is None else _as_matrix(B_c, "B_c")
-        self.T_s = None if T_s is None else float(T_s)
 
     @classmethod
     def from_continuous(cls, A_c, B_c, T_s):
         """Build the model by zero-order-hold discretization."""
-        A, B = discretize_zoh(A_c, B_c, T_s)
-        return cls(A, B, A_c=A_c, B_c=B_c, T_s=T_s)
+        return cls(*discretize_zoh(A_c, B_c, T_s))
 
-
-def step(model, x, u):
-    """One step of the plant dynamics; x may be a vector or an (n, batch) array."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape[0] != model.n:
-        raise NumericsError(f"state has leading dimension {x.shape[0]}, expected {model.n}")
-    if u.shape[0] != model.m:
-        raise NumericsError(f"input has leading dimension {u.shape[0]}, expected {model.m}")
-    return model.A @ x + model.B @ u
+    def step(self, x, u):
+        """The plant step; x may be (n,) or (n, batch) with u shaped to match."""
+        return self.A @ x + self.B @ u
 
 
 class BoxSet:
@@ -77,14 +61,6 @@ class BoxSet:
         if v.ndim == 1:
             return np.clip(v, self.lower, self.upper)
         return np.clip(v, self.lower[:, None], self.upper[:, None])
-
-    def contains(self, v, tol=1e-12):
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
-        return np.all(v >= self.lower[:, None] - tol, axis=0) & np.all(
-            v <= self.upper[:, None] + tol, axis=0
-        )
 
     def replicate(self, N):
         """Box for N stacked copies of this set."""

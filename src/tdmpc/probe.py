@@ -60,7 +60,7 @@ def make_benchmark_evaluator(model, qp, cfg):
         for k in range(horizon):
             mu = solve_benchmark(qp, cfg, states[k], warm)
             warm = mu
-            nxt = model.A @ states[k] + model.B @ (qp.S @ mu)
+            nxt = model.step(states[k], qp.S @ mu)
             if disturbances is not None:
                 nxt = nxt + disturbances[k]
             states[k + 1] = nxt

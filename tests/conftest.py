@@ -1,4 +1,8 @@
-"""Shared fixtures: the calibrated pendulum instance and a random-instance factory.
+"""Shared fixtures and oracles.
+
+Fixtures: the calibrated pendulum instance and a random-instance factory.
+Oracles: the horizon cost by explicit simulation and the gradient of the
+condensed cost, both independent of the condensed solver paths.
 
 The pendulum setup (horizon N = 5, the value the calibration scan picks
 for the target contraction factor) is session-scoped because several
@@ -13,6 +17,32 @@ import numpy as np
 import pytest
 
 import tdmpc as T
+
+
+def rollout_cost(model, Q, R, P, x, nu):
+    """Horizon cost evaluated by explicit simulation of the input sequence.
+
+    Steps the plant through the N input blocks of nu and accumulates
+    stage costs plus the terminal cost; an independent check of the
+    condensed quadratic form.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    nu = np.asarray(nu, dtype=float).ravel()
+    m = model.m
+    assert nu.size % m == 0
+    total = 0.0
+    xi = x
+    for i in range(nu.size // m):
+        ui = nu[i * m:(i + 1) * m]
+        total += float(xi @ Q @ xi + ui @ R @ ui)
+        xi = model.step(xi, ui)
+    total += float(xi @ P @ xi)
+    return total
+
+
+def grad(qp, x, nu):
+    """Gradient of the condensed cost J_N with respect to nu: 2 (H nu + G x)."""
+    return 2.0 * (qp.H @ nu + qp.G @ x)
 
 
 class PendulumSetup:

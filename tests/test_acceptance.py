@@ -17,6 +17,7 @@ import pytest
 
 import tdmpc as T
 import tdmpc.cli as cli
+from conftest import grad, rollout_cost
 
 
 def _read_rows(path):
@@ -61,11 +62,11 @@ def test_condensed_cost_and_gradient_oracles(random_instance):
             x = rng.standard_normal(model.n)
             nu = qp.nu_box.sample(rng)
             c = T.cost(qp, x, nu)
-            ref = T.rollout_cost(model, qp.Q, qp.R, qp.P, x, nu)
+            ref = rollout_cost(model, qp.Q, qp.R, qp.P, x, nu)
             assert abs(c - ref) <= 1e-9 * max(1.0, abs(ref))
         x = rng.standard_normal(model.n)
         nu = qp.nu_box.sample(rng)
-        g = T.grad(qp, x, nu)
+        g = grad(qp, x, nu)
         for i in range(min(nu.size, 6)):
             e = np.zeros(nu.size)
             e[i] = h

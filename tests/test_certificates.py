@@ -227,23 +227,6 @@ def test_stage_cost_lipschitz_corner_and_combination(pend, pend_certs, pend_fit)
     assert M_bar is not None and M_bar >= M_u
 
 
-def test_roa_membership(pend, pend_certs):
-    in_gamma, in_sigma = T.roa_membership(
-        np.zeros(2), np.zeros(5), pend_certs, pend.qp, pend.cfg
-    )
-    assert in_gamma and in_sigma
-    # the benchmark start state is inside the region; a scaled-out copy is not
-    in_gamma, _ = T.roa_membership(pend.x0, np.zeros(5), pend_certs, pend.qp, pend.cfg)
-    assert in_gamma
-    t = 2.0
-    while T.psi_value(pend.qp, pend.cfg, t * pend.x0) <= pend_certs.r_N * 1.05:
-        t *= 2.0
-    in_gamma, in_sigma = T.roa_membership(
-        t * pend.x0, np.zeros(5), pend_certs, pend.qp, pend.cfg
-    )
-    assert not in_gamma and not in_sigma
-
-
 def test_certificates_frozen_pendulum_values(pend_certs):
     # regression pins for the calibrated pendulum instance (horizon N = 5)
     pins = {

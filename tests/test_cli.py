@@ -279,6 +279,16 @@ def test_fractional_repeats_key_exits_1(tmp_path, capsys):
     ("x0 = [1.0]", ["sweep"], "'x0'"),
     ("seed = -1", ["constants"], "'seed'"),
     ("ell_list = ['many']", ["sweep"], "'many'"),
+    ("tol_benchmark = tiny", ["sweep"], "'tol_benchmark'"),
+    ("T_s = fast", ["sweep"], "'T_s'"),
+    ("r_w = big", ["sweep"], "'r_w'"),
+    ("tol_benchmark = nan", ["sweep"], "'tol_benchmark'"),
+    ("tol_benchmark = -1", ["sweep"], "'tol_benchmark'"),
+    ("T_s = -0.1", ["sweep"], "'T_s'"),
+    ("r_w = -1", ["sweep"], "'r_w'"),
+    ("u_min = [1.0]", ["sweep"], "'u_min'"),
+    ("u_min = [-1.0, -1.0]", ["sweep"], "'u_min'"),
+    ("u_min = [-1.0, -1.0]\nu_max = [1.0, 1.0]", ["sweep"], "'u_min'"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
     conf = write_conf(tmp_path, extra=extra + "\n")

@@ -10,7 +10,7 @@ def test_benchmark_from_origin_stays_at_origin(pend):
     run = T.run_benchmark(pend.model, pend.qp, pend.cfg, np.zeros(2), 5, repeats=0)
     assert np.linalg.norm(run.states) <= 1e-10
     assert np.linalg.norm(run.applied) <= 1e-10
-    assert run.is_benchmark
+    assert run.ell_schedule is None and run.d_norms is None
     assert run.T == 5
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tdmpc as T
+from conftest import grad, rollout_cost
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def test_stacked_cost_matches_rollout(small, random_instance):
         x = rng.standard_normal(2)
         nu = rng.uniform(-1.0, 1.0, 4)
         c = T.cost(qp, x, nu)
-        ref = T.rollout_cost(model, Q, R, P, x, nu)
+        ref = rollout_cost(model, Q, R, P, x, nu)
         assert c == pytest.approx(ref, rel=1e-12, abs=1e-12)
     # and across random instances
     for _ in range(10):
@@ -59,7 +60,7 @@ def test_stacked_cost_matches_rollout(small, random_instance):
             x = rng.standard_normal(model.n)
             nu = qp.nu_box.sample(rng)
             c = T.cost(qp, x, nu)
-            ref = T.rollout_cost(model, qp.Q, qp.R, qp.P, x, nu)
+            ref = rollout_cost(model, qp.Q, qp.R, qp.P, x, nu)
             assert c == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
@@ -81,7 +82,7 @@ def test_gradient_matches_central_differences(small):
     for _ in range(10):
         x = rng.standard_normal(2)
         nu = rng.uniform(-1.0, 1.0, 4)
-        g = T.grad(qp, x, nu)
+        g = grad(qp, x, nu)
         for i in range(4):
             e = np.zeros(4)
             e[i] = h
@@ -93,12 +94,13 @@ def test_gradient_vanishes_at_unconstrained_minimizer(small):
     model, Q, R, P, qp = small
     x = np.array([0.3, -0.2])
     nu = -np.linalg.solve(qp.H, qp.G @ x)
-    assert np.linalg.norm(T.grad(qp, x, nu)) <= 1e-10
+    assert np.linalg.norm(grad(qp, x, nu)) <= 1e-10
 
 
 def test_stacked_hessian_block_psd(small):
     model, Q, R, P, qp = small
-    w = np.linalg.eigvalsh(qp.M)
+    M = np.block([[qp.W, qp.G.T], [qp.G, qp.H]])  # form of (x, nu) -> J_N
+    w = np.linalg.eigvalsh(M)
     assert w.min() >= -1e-9 * max(1.0, w.max())
 
 

@@ -98,7 +98,7 @@ def test_chain_bound_three_step_hand_case():
     assert total == pytest.approx(2.125, rel=1e-14)
     with_a = T.chain_bound(rv, 1.0, deltas, 1.0, a=np.array([0.5, 0.5]))
     assert with_a == pytest.approx(2.125 + 0.5 * 0.75 + 0.5 * 0.5, rel=1e-14)
-    assert T.gap_bound(2.0, 1.0, rv, deltas, 1.0) == pytest.approx(2.0 * 2.125, rel=1e-14)
+    assert 2.0 * T.chain_bound(rv, 1.0, deltas, 1.0) == pytest.approx(2.0 * 2.125, rel=1e-14)
 
 
 def test_chain_bound_ignores_trailing_deltas():
@@ -143,7 +143,8 @@ def test_bound_vanishes_with_iteration_count():
     deltas = np.ones(5)
     prev = np.inf
     for ell in [1, 5, 20, 100]:
-        b = T.gap_bound(1.0, 1.0, T.eta_tilde_mpc(0.8, [ell] * 6), deltas, 1.0)
+        # the cost-gap bound M_bar * chain at M_bar = 1
+        b = 1.0 * T.chain_bound(T.eta_tilde_mpc(0.8, [ell] * 6), 1.0, deltas, 1.0)
         assert b < prev
         prev = b
     assert prev <= 1e-8

@@ -28,21 +28,49 @@ def test_from_continuous_matches_zoh():
     A, B = T.discretize_zoh(A_c, B_c, 0.1)
     assert np.allclose(model.A, A)
     assert np.allclose(model.B, B)
-    assert model.T_s == 0.1
-    assert np.allclose(model.A_c, A_c)
 
 
 def test_step_single_and_batched():
     model = T.LtiModel([[0.5, 0.0], [0.0, 2.0]], [[1.0], [0.0]])
     x = np.array([1.0, 1.0])
     u = np.array([0.25])
-    assert np.allclose(T.step(model, x, u), [0.75, 2.0])
+    assert np.allclose(model.step(x, u), [0.75, 2.0])
     X = np.array([[1.0, 2.0], [1.0, 0.0]])
     U = np.array([[0.25, 0.0]])
-    out = T.step(model, X, U)
+    out = model.step(X, U)
     assert out.shape == (2, 2)
     assert np.allclose(out[:, 0], [0.75, 2.0])
     assert np.allclose(out[:, 1], [1.0, 0.0])
+
+
+def test_every_plant_step_goes_through_model_step(pend, pend_certs, monkeypatch):
+    # the closed loops, the decay check and the probe evaluator all step
+    # the plant through LtiModel.step and use what it returns
+    real = T.LtiModel.step
+    outputs = []
+
+    def recording(self, x, u):
+        outputs.append(real(self, x, u))
+        return outputs[-1]
+
+    monkeypatch.setattr(T.LtiModel, "step", recording)
+    m, qp, cfg = pend.model, pend.qp, pend.cfg
+    runs = (
+        lambda: T.run_benchmark(m, qp, cfg, pend.x0, 4, repeats=0),
+        lambda: T.run_tdmpc(m, qp, cfg, pend.x0, 6, 4, repeats=0),
+    )
+    for simulate in runs:
+        run = simulate()
+        assert len(outputs) == 4
+        assert np.array_equal(run.states[1:], np.array(outputs))
+        outputs.clear()
+    T.check_psi_decay(m, qp, cfg, pend_certs.beta, pend_certs.r_N,
+                      np.random.default_rng(3), samples=20)
+    assert len(outputs) == 1 and outputs[0].shape == (2, 20)
+    outputs.clear()
+    states = T.make_benchmark_evaluator(m, qp, cfg)(np.outer(pend.x0, [1.0, 0.5]), 3)
+    assert len(outputs) == 3
+    assert np.array_equal(states[1:], np.array(outputs))
 
 
 def test_box_validation():
@@ -61,8 +89,9 @@ def test_box_project_and_contains():
     assert box.project(np.array([2.5]))[0] == pytest.approx(1.0, abs=0.0)
     assert box.project(np.array([-3.0]))[0] == pytest.approx(-1.0, abs=0.0)
     assert box.project(np.array([0.3]))[0] == pytest.approx(0.3, abs=0.0)
-    assert box.contains(np.array([1.0]))
-    assert not box.contains(np.array([1.1]))
+    # feasible points are exactly the fixed points of the projection
+    assert box.project(np.array([1.0]))[0] == 1.0
+    assert box.project(np.array([1.1]))[0] != 1.1
     # projection is idempotent and batched
     V = np.array([[-5.0, 0.0, 5.0]])
     PV = box.project(V)
