@@ -260,15 +260,28 @@ def _gamma_sampler(qp, cfg, r_N):
     return lambda rng, count: sample_gamma(qp, cfg, r_N, rng, count)
 
 
+# the range each saved fit constant must lie in, as a check and its wording
+_FIT_RANGES = {
+    "c0": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "c_w": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "rho": (lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "r_w": (lambda v: 0 < v < math.inf, "a finite number > 0"),
+}
+
+
 def load_ediss_fit(path):
     """Load a previously written incremental-stability fit report."""
     conf = load_config(path)
-    for key in ("c0", "c_w", "rho", "r_w"):
+    consts = []
+    for key, (ok, what) in _FIT_RANGES.items():
         if key not in conf:
             raise ConfigError(f"fit report {path} is missing key {key!r}")
+        val = conf[key]
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not ok(val):
+            raise ConfigError(f"fit report {path}: key {key!r} must be {what}, got {val!r}")
+        consts.append(float(val))
     return EdissFit(
-        float(conf["c0"]), float(conf["c_w"]), float(conf["rho"]), float(conf["r_w"]),
-        _int(conf, "pairs", 0, minimum=0), _int(conf, "horizon", 0, minimum=0),
+        *consts, _int(conf, "pairs", 0, minimum=0), _int(conf, "horizon", 0, minimum=0),
         float(conf.get("worst_slack", 0.0)),
     )
 

@@ -296,3 +296,18 @@ def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and shown in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho", "1.5"), ("c_w", "-3.0"), ("c_w", "fast"), ("c0", "nan"), ("r_w", "-1.0"),
+])
+def test_out_of_range_saved_fit_exits_1(tmp_path, capsys, key, value):
+    conf = write_conf(tmp_path, extra="N = 5\nT = 5\nell_list = [3]\n")
+    fit = {"c0": "1.0", "c_w": "1.0", "rho": "0.5", "r_w": "0.01",
+           "pairs": "20", "horizon": "20", "worst_slack": "0.0", key: value}
+    path = tmp_path / "ediss_fit.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fit.items()))
+    assert cli.main(["--config", conf, "--out", str(tmp_path), "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(path) in err and repr(key) in err
+    assert len(err.strip().splitlines()) == 1

@@ -146,7 +146,7 @@ def test_dare_fixed_point_residual_and_stability():
 
 
 def test_dare_rejects_unstabilizable_pair():
-    with pytest.raises(T.NumericsError):
+    with pytest.raises(T.NumericsError, match="diverged"):
         T.solve_dare([[2.0]], [[0.0]], [[1.0]], [[1.0]])
 
 

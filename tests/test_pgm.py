@@ -300,6 +300,11 @@ def test_iterate_is_bit_identical_to_clip_loop(pend, random_instance):
         ell = int(rng.integers(1, 40))
         out = T.pgm_iterate(qp, cfg, X, NU, ell)
         assert np.array_equal(out, _clip_loop(qp, cfg, X, NU, ell))
+        # H.dot gives matmul's product for any memory layout of the inputs
+        for layout in (np.asfortranarray, lambda A: np.repeat(A, 2, axis=1)[:, ::2]):
+            Xl, NUl = layout(X), layout(NU)
+            assert np.array_equal(T.pgm_iterate(qp, cfg, Xl, NUl, ell),
+                                  _clip_loop(qp, cfg, Xl, NUl, ell))
         at_bound = (out == box.lower[:, None]) | (out == box.upper[:, None])
         saturated += int(np.sum(np.all(at_bound, axis=0)))
         for j in range(scales.size):
