@@ -96,22 +96,125 @@ def pendulum_preset():
         "N": 10,
         "T": 30,
         "x0": [-math.pi / 4.0, math.pi / 3.0],
-        "seed": 0,
-        "repeats": 1,
-        "tol_benchmark": 1e-12,
-        "nu_init": "zeros",
     }
 
 
 PRESETS = {"pendulum": pendulum_preset}
 
 
-def resolve_config(args):
-    """Merge preset, configuration file and command-line overrides."""
+def _number(ok, what, kind=float):
+    """Check of a real number v (not a bool or a string) with ok(v); returns kind(v)."""
+    def check(val):
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not ok(val):
+            raise ValueError(f"must be {what}")
+        return kind(val)
+    return check
+
+
+def _count(minimum):
+    """Check of a whole number >= minimum (5 or 5.0, not 2.5, '5' or True); returns an int."""
+    return _number(lambda v: v >= minimum and v % 1 == 0, f"an integer >= {minimum}", int)
+
+
+_positive = _number(lambda v: 0 < v < math.inf, "a finite number > 0")
+_nonnegative = _number(lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_not_nan = _number(lambda v: not math.isnan(v), "a number other than nan")
+
+
+def _slack(val):
+    """Holdout slack: any number but nan; the parser hands a saved inf over as 'inf'."""
+    return _not_nan(math.inf if val == "inf" else val)
+
+
+def _choice(*options):
+    def check(val):
+        if val not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return val
+    return check
+
+
+def _floats(val):
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("must be numeric") from None
+
+
+def _matrix(val):
+    M = _floats(val)
+    if M.ndim != 2:
+        raise ValueError("must be a matrix (list of rows)")
+    return M
+
+
+def _vector(val):
+    return _floats(val).ravel()
+
+
+def _ell_list(val):
+    """Sweep budgets, ascending and deduplicated so rate columns are monotone."""
+    if not isinstance(val, (list, tuple)) or not val:
+        raise ValueError("must be a nonempty list")
+    return sorted({_count(1)(ell) for ell in val})
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+# every configuration key, its check and its default; a None default lets
+# the key stay absent: the two plant forms (build_model takes exactly one),
+# r_w and ell_list (derived where they are used)
+CONFIG_KEYS = {
+    "A_c": (_matrix, None), "B_c": (_matrix, None), "T_s": (_positive, None),
+    "A": (_matrix, None), "B": (_matrix, None),
+    "Q": (_matrix, REQUIRED), "R": (_matrix, REQUIRED),
+    "u_min": (_vector, REQUIRED), "u_max": (_vector, REQUIRED),
+    "N": (_count(1), REQUIRED), "T": (_count(1), REQUIRED), "x0": (_vector, REQUIRED),
+    "seed": (_count(0), 0), "repeats": (_count(0), 1),
+    "tol_benchmark": (_positive, 1e-12), "iter_cap": (_count(1), 10**6),
+    "nu_init": (_choice("zeros", "optimal"), "zeros"), "ell_list": (_ell_list, None),
+    "psi_samples": (_count(1), 500), "r_w": (_positive, None),
+    "ediss_pairs": (_count(1), 200), "ediss_horizon": (_count(1), 60),
+    "ediss_holdout": (_count(1), 100),
+    "contraction_samples": (_count(1), 1000), "contraction_ell_max": (_count(1), 50),
+    "lyap_nv": (_count(1), 12), "lyap_samples": (_count(1), 200),
+    "calibrate_max": (_count(1), 40),
+}
+
+# the keys of a saved fit report, the fields of EdissFit
+FIT_KEYS = {
+    "c0": (_nonnegative, REQUIRED), "c_w": (_nonnegative, REQUIRED),
+    "rho": (_number(lambda v: 0 < v < 1, "a number in (0, 1)"), REQUIRED),
+    "r_w": (_positive, REQUIRED),
+    "pairs": (_count(0), 0), "horizon": (_count(0), 0), "worst_slack": (_slack, 0.0),
+}
+
+
+def checked(raw, keys, where="configuration key"):
+    """raw checked against a table {key: (check, default)}, defaults filled in.
+
+    A key outside the table, a missing REQUIRED key and a value its check
+    rejects (the check raises ValueError) are configuration errors whose
+    one-line messages start with `where` and the key.
+    """
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{where} {key!r} is unknown")
     conf = {}
-    file_conf = {}
-    if args.config is not None:
-        file_conf = load_config(args.config)
+    for key, (check, default) in keys.items():
+        if key not in raw and default is REQUIRED:
+            raise ConfigError(f"{where} {key!r} is missing")
+        try:
+            conf[key] = check(raw[key]) if key in raw else default
+        except ValueError as exc:
+            raise ConfigError(f"{where} {key!r} {exc}, got {raw[key]!r}") from exc
+    return conf
+
+
+def resolve_config(args):
+    """Merge preset, configuration file and command-line overrides, and check them."""
+    conf = {}
+    file_conf = {} if args.config is None else load_config(args.config)
     preset_name = file_conf.pop("preset", None if args.config else "pendulum")
     if preset_name is not None:
         if preset_name not in PRESETS:
@@ -124,69 +227,21 @@ def resolve_config(args):
         conf["seed"] = args.seed
     if args.repeats is not None:
         conf["repeats"] = args.repeats
-    return conf
-
-
-def _require(conf, key):
-    if key not in conf:
-        raise ConfigError(f"missing required configuration key {key!r}")
-    return conf[key]
-
-
-def _array(conf, key):
-    try:
-        return np.asarray(_require(conf, key), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"configuration key {key!r} is not numeric: {exc}") from exc
-
-
-def _matrix(conf, key):
-    M = _array(conf, key)
-    if M.ndim != 2:
-        raise ConfigError(f"configuration key {key!r} must be a matrix (list of rows)")
-    return M
-
-
-def _vector(conf, key):
-    return _array(conf, key).ravel()
-
-
-def _whole(key, val, minimum):
-    """val as an int; a bool, a string or a fraction is a configuration error."""
-    whole = isinstance(val, float) and val.is_integer()
-    if not (whole or isinstance(val, int)) or isinstance(val, bool) or val < minimum:
-        raise ConfigError(f"configuration key {key!r} must be an integer >= {minimum}, got {val!r}")
-    return int(val)
-
-
-def _int(conf, key, default=None, minimum=1):
-    """Checked integer value of key; without a default the key is required."""
-    val = _require(conf, key) if default is None else conf.get(key, default)
-    return _whole(key, val, minimum)
-
-
-def _positive(conf, key, default=None):
-    """Checked finite float > 0 of key; without a default the key is required."""
-    val = _require(conf, key) if default is None else conf.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < math.inf:
-        raise ConfigError(f"configuration key {key!r} must be a finite number > 0, got {val!r}")
-    return float(val)
+    return checked(conf, CONFIG_KEYS)
 
 
 def build_model(conf):
-    """Plant, cost matrices, input box and terminal pair from a configuration."""
-    if "A_c" in conf or "B_c" in conf:
-        model = LtiModel.from_continuous(
-            _matrix(conf, "A_c"), _matrix(conf, "B_c"), _positive(conf, "T_s")
-        )
-    elif "A" in conf or "B" in conf:
-        model = LtiModel(_matrix(conf, "A"), _matrix(conf, "B"))
+    """Plant, cost matrices, input box and terminal pair from a checked configuration."""
+    given = {key for key in ("A_c", "B_c", "T_s", "A", "B") if conf[key] is not None}
+    if given == {"A_c", "B_c", "T_s"}:
+        model = LtiModel.from_continuous(conf["A_c"], conf["B_c"], conf["T_s"])
+    elif given == {"A", "B"}:
+        model = LtiModel(conf["A"], conf["B"])
     else:
         raise ConfigError("configuration must provide either (A, B) or (A_c, B_c, T_s)")
-    Q = _matrix(conf, "Q")
-    R = _matrix(conf, "R")
+    Q, R = conf["Q"], conf["R"]
     try:
-        box = BoxSet(_vector(conf, "u_min"), _vector(conf, "u_max"))
+        box = BoxSet(conf["u_min"], conf["u_max"])
     except NumericsError as exc:
         raise ConfigError(f"configuration keys 'u_min'/'u_max': {exc}") from exc
     if box.dim != model.m:
@@ -197,17 +252,11 @@ def build_model(conf):
     return model, Q, R, box, P, K
 
 
-def build_setup(conf, N=None):
+def build_setup(conf):
     """Condensed QP and optimizer configuration for the configured horizon."""
     model, Q, R, box, P, K = build_model(conf)
-    if N is None:
-        N = _int(conf, "N")
-    qp = build_condensed(model, Q, R, P, N, box)
-    cfg = pgm_config(
-        qp,
-        tol_benchmark=_positive(conf, "tol_benchmark", 1e-12),
-        iter_cap=_int(conf, "iter_cap", 10**6),
-    )
+    qp = build_condensed(model, Q, R, P, conf["N"], box)
+    cfg = pgm_config(qp, tol_benchmark=conf["tol_benchmark"], iter_cap=conf["iter_cap"])
     return model, qp, cfg, K
 
 
@@ -217,31 +266,12 @@ def default_ell_list():
     return [int(e) for e in pts]
 
 
-def _ell_list(conf):
-    """Sweep budgets, ascending and deduplicated so rate columns are monotone."""
-    if "ell_list" in conf:
-        ells = conf["ell_list"]
-        if not isinstance(ells, (list, tuple)) or not ells:
-            raise ConfigError("configuration key 'ell_list' must be a nonempty list")
-        return sorted({_whole("ell_list", e, 1) for e in ells})
-    return default_ell_list()
-
-
 def _closed_loop_inputs(conf, model):
     """Initial state, horizon T and timing repeats per step (0 disables timing)."""
-    x0 = _vector(conf, "x0")
+    x0 = conf["x0"]
     if x0.size != model.n:
         raise ConfigError(f"configuration key 'x0' has {x0.size} entries, expected {model.n}")
-    return x0, _int(conf, "T"), _int(conf, "repeats", 1, minimum=0)
-
-
-def _nu_init(conf, qp, cfg, x0):
-    mode = conf.get("nu_init", "zeros")
-    if mode == "zeros":
-        return None
-    if mode == "optimal":
-        return solve_benchmark(qp, cfg, x0)
-    raise ConfigError(f"configuration key 'nu_init' must be 'zeros' or 'optimal', got {mode!r}")
+    return x0, conf["T"], conf["repeats"]
 
 
 def _write_lines(path, lines):
@@ -260,30 +290,9 @@ def _gamma_sampler(qp, cfg, r_N):
     return lambda rng, count: sample_gamma(qp, cfg, r_N, rng, count)
 
 
-# the range each saved fit constant must lie in, as a check and its wording
-_FIT_RANGES = {
-    "c0": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "c_w": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "rho": (lambda v: 0 < v < 1, "a number in (0, 1)"),
-    "r_w": (lambda v: 0 < v < math.inf, "a finite number > 0"),
-}
-
-
 def load_ediss_fit(path):
     """Load a previously written incremental-stability fit report."""
-    conf = load_config(path)
-    consts = []
-    for key, (ok, what) in _FIT_RANGES.items():
-        if key not in conf:
-            raise ConfigError(f"fit report {path} is missing key {key!r}")
-        val = conf[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not ok(val):
-            raise ConfigError(f"fit report {path}: key {key!r} must be {what}, got {val!r}")
-        consts.append(float(val))
-    return EdissFit(
-        *consts, _int(conf, "pairs", 0, minimum=0), _int(conf, "horizon", 0, minimum=0),
-        float(conf.get("worst_slack", 0.0)),
-    )
+    return EdissFit(**checked(load_config(path), FIT_KEYS, f"fit report {path}: key"))
 
 
 def _saved_fit(out_dir):
@@ -299,50 +308,40 @@ def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs_r_N, rng):
         return fit, path
     evaluator = make_benchmark_evaluator(model, qp, cfg)
     sampler = _gamma_sampler(qp, cfg, certs_r_N)
-    r_w = _positive(conf, "r_w", 0.01 * certs_r_N * spectral_norm(mat_inv_sqrt(qp.P, "P")))
+    # a checked r_w is > 0, so only an absent one takes the default
+    r_w = conf["r_w"] or float(0.01 * certs_r_N * spectral_norm(mat_inv_sqrt(qp.P, "P")))
     fit = fit_ediss(
-        evaluator, sampler, rng, r_w,
-        pairs=_int(conf, "ediss_pairs", 200),
-        horizon=_int(conf, "ediss_horizon", 60),
-        holdout_pairs=_int(conf, "ediss_holdout", 100),
+        evaluator, sampler, rng, r_w, pairs=conf["ediss_pairs"],
+        horizon=conf["ediss_horizon"], holdout_pairs=conf["ediss_holdout"],
     )
     _write_lines(path, fit.to_lines())
     return fit, path
 
 
-def _rng(conf):
-    return np.random.default_rng(_int(conf, "seed", 0, minimum=0))
-
-
 def cmd_constants(conf, out_dir):
-    rng = _rng(conf)
+    rng = np.random.default_rng(conf["seed"])
     model, qp, cfg, K = build_setup(conf)
     # reuse incremental-stability constants when a probe already ran into
     # this output directory; M_bar stays pending otherwise
-    certs = compute_certificates(
-        model, qp, cfg, K, rng=rng,
-        psi_samples=_int(conf, "psi_samples", 500), ediss=_saved_fit(out_dir)[0],
-    )
+    certs = compute_certificates(model, qp, cfg, K, rng=rng, psi_samples=conf["psi_samples"],
+                                 ediss=_saved_fit(out_dir)[0])
     _report(os.path.join(out_dir, "constants.txt"), certs.to_lines())
     return 0
 
 
 def cmd_probe(conf, out_dir):
-    rng = _rng(conf)
+    rng = np.random.default_rng(conf["seed"])
     model, qp, cfg, K = build_setup(conf)
     certs = compute_certificates(model, qp, cfg, K)
     fit, fit_path = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
     sampler = _gamma_sampler(qp, cfg, certs.r_N)
     worst = audit_contraction(
         qp, cfg, sampler, rng,
-        samples=_int(conf, "contraction_samples", 1000),
-        ell_max=_int(conf, "contraction_ell_max", 50),
+        samples=conf["contraction_samples"], ell_max=conf["contraction_ell_max"],
     )
     lyap = lyapunov_finite_horizon(
         make_benchmark_evaluator(model, qp, cfg), sampler, rng,
-        N_V=_int(conf, "lyap_nv", 12),
-        samples=_int(conf, "lyap_samples", 200),
-        fit_horizon=_int(conf, "ediss_horizon", 60),
+        N_V=conf["lyap_nv"], samples=conf["lyap_samples"], fit_horizon=conf["ediss_horizon"],
     )
     print(f"wrote {fit_path}")
     _report(os.path.join(out_dir, "probe_report.txt"),
@@ -365,7 +364,7 @@ def cmd_run(conf, out_dir, target):
         name = "run_benchmark.csv"
     else:
         ell = int(target)
-        nu0 = _nu_init(conf, qp, cfg, x0)
+        nu0 = solve_benchmark(qp, cfg, x0) if conf["nu_init"] == "optimal" else None
         run = run_tdmpc(model, qp, cfg, x0, ell, T, nu_init=nu0, repeats=repeats)
         name = f"run_ell{ell}.csv"
     path = os.path.join(out_dir, name)
@@ -377,19 +376,17 @@ def cmd_run(conf, out_dir, target):
 
 
 def cmd_sweep(conf, out_dir, svg=False):
-    rng = _rng(conf)
+    rng = np.random.default_rng(conf["seed"])
     model, qp, cfg, K = build_setup(conf)
     x0, T, repeats = _closed_loop_inputs(conf, model)
-    ells = _ell_list(conf)
+    ells = conf["ell_list"] or default_ell_list()
     # the decay check draws from rng before the fit does
-    certs = compute_certificates(
-        model, qp, cfg, K, rng=rng, psi_samples=_int(conf, "psi_samples", 500)
-    )
+    certs = compute_certificates(model, qp, cfg, K, rng=rng, psi_samples=conf["psi_samples"])
     fit, _ = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
     certs = replace(certs, M_bar=stage_cost_lipschitz(qp, certs.r_N, fit)[2], ediss=fit)
 
     bench = run_benchmark(model, qp, cfg, x0, T, repeats=repeats)
-    nu0 = _nu_init(conf, qp, cfg, x0)
+    nu0 = solve_benchmark(qp, cfg, x0) if conf["nu_init"] == "optimal" else None
     rows = ["ell,eta_pow_ell,R_T_empirical,complexity_cor1,bound_thm8,"
             "S_T,S_T2,compute_time_s,stable_flag"]
     plot_pts = []
@@ -427,7 +424,7 @@ def cmd_sweep(conf, out_dir, svg=False):
 def cmd_calibrate_n(conf, out_dir):
     model, Q, R, box, P, K = build_model(conf)
     lo, hi = 0.91, 0.93
-    n_max = _int(conf, "calibrate_max", 40)
+    n_max = conf["calibrate_max"]
     lines = []
     chosen = None
     for N in range(1, n_max + 1):

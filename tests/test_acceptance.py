@@ -46,7 +46,7 @@ def sweep_rows(pend, pend_fit, tmp_path_factory):
         ell_list=sorted(set(cli.default_ell_list()) | {6, 40}),
     )
     t0 = time.perf_counter()
-    code = cli.cmd_sweep(conf, str(out))
+    code = cli.cmd_sweep(cli.checked(conf, cli.CONFIG_KEYS), str(out))
     elapsed = time.perf_counter() - t0
     assert code == 0
     return _read_rows(out / "sweep.csv"), elapsed, out
@@ -236,7 +236,8 @@ def test_lyapunov_window_certificate(pend_evaluator, pend_sampler):
 def test_calibrated_contraction_windows(pend, sweep_rows, tmp_path):
     rows, elapsed, out = sweep_rows
     assert elapsed < 300.0
-    assert cli.cmd_calibrate_n(cli.pendulum_preset(), str(tmp_path)) == 0
+    conf = cli.checked(cli.pendulum_preset(), cli.CONFIG_KEYS)
+    assert cli.cmd_calibrate_n(conf, str(tmp_path)) == 0
     assert "chosen_N = 5" in (tmp_path / "calibration.txt").read_text()
     eta = pend.cfg.eta
     assert 0.91 <= eta ** 6 <= 0.93
@@ -334,8 +335,8 @@ def test_sweep_reproducibility(tmp_path):
     d2 = tmp_path / "b"
     d1.mkdir()
     d2.mkdir()
-    assert cli.cmd_sweep(dict(conf), str(d1)) == 0
-    assert cli.cmd_sweep(dict(conf), str(d2)) == 0
+    assert cli.cmd_sweep(cli.checked(conf, cli.CONFIG_KEYS), str(d1)) == 0
+    assert cli.cmd_sweep(cli.checked(conf, cli.CONFIG_KEYS), str(d2)) == 0
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
     assert (d1 / "ediss_fit.txt").read_bytes() == (d2 / "ediss_fit.txt").read_bytes()
     print(

@@ -2,6 +2,8 @@
 
 import argparse
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,7 +64,7 @@ def test_resolve_config_defaults_to_pendulum_preset():
     conf = cli.resolve_config(args)
     assert conf["N"] == 10
     assert conf["T"] == 30
-    assert conf["A_c"] == [[0.0, 1.0], [14.7, 0.0]]
+    assert np.array_equal(conf["A_c"], [[0.0, 1.0], [14.7, 0.0]])
     assert conf["x0"][0] == pytest.approx(-math.pi / 4.0)
     args = argparse.Namespace(config=None, seed=7, repeats=0)
     conf = cli.resolve_config(args)
@@ -77,13 +79,27 @@ def test_default_ell_list_shape():
 
 
 def test_ell_list_sorted_deduplicated():
-    assert cli._ell_list({"ell_list": [7, 3, 7, 1]}) == [1, 3, 7]
+    def ells(val):
+        return cli.checked(dict(cli.pendulum_preset(), ell_list=val), cli.CONFIG_KEYS)["ell_list"]
+
+    assert ells([7, 3, 7, 1]) == [1, 3, 7]
     with pytest.raises(cli.ConfigError):
-        cli._ell_list({"ell_list": []})
+        ells([])
     with pytest.raises(cli.ConfigError):
-        cli._ell_list({"ell_list": [0, 3]})
+        ells([0, 3])
     with pytest.raises(cli.ConfigError):
-        cli._ell_list({"ell_list": [2.5]})
+        ells([2.5])
+
+
+def test_readme_configuration_matches_the_table(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration\n", 1)[1].split("\n### ", 1)[0]
+    for key in cli.CONFIG_KEYS:
+        assert re.search(rf"`{key}( = [^`]+)?`", section), key
+    example = tmp_path / "readme.conf"
+    example.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
+    conf = cli.resolve_config(argparse.Namespace(config=str(example), seed=None, repeats=None))
+    assert conf["N"] == 5 and conf["ell_list"] == [1, 6, 40, 100]
 
 
 def test_unknown_preset_exits_1(tmp_path, capsys):
@@ -289,6 +305,9 @@ def test_fractional_repeats_key_exits_1(tmp_path, capsys):
     ("u_min = [1.0]", ["sweep"], "'u_min'"),
     ("u_min = [-1.0, -1.0]", ["sweep"], "'u_min'"),
     ("u_min = [-1.0, -1.0]\nu_max = [1.0, 1.0]", ["sweep"], "'u_min'"),
+    ("ediss_horizn = 2", ["constants"], "'ediss_horizn'"),
+    ("A = [[0.5, 0.0], [0.0, 0.5]]\nB = [[1.0], [0.0]]", ["constants"], "(A, B)"),
+    ("A = [[0.5, 0.0], [0.0, 0.5]]", ["constants"], "(A_c, B_c, T_s)"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
     conf = write_conf(tmp_path, extra=extra + "\n")
@@ -300,6 +319,7 @@ def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
 
 @pytest.mark.parametrize("key, value", [
     ("rho", "1.5"), ("c_w", "-3.0"), ("c_w", "fast"), ("c0", "nan"), ("r_w", "-1.0"),
+    ("worst_slack", "bad"), ("pairs", "x"), ("horizon", "-1"),
 ])
 def test_out_of_range_saved_fit_exits_1(tmp_path, capsys, key, value):
     conf = write_conf(tmp_path, extra="N = 5\nT = 5\nell_list = [3]\n")
