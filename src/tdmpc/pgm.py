@@ -172,15 +172,18 @@ def _active_set(qp, cfg, X, V):
     ok = np.zeros(V.shape[1], dtype=bool)
     todo = np.arange(V.shape[1])
     while todo.size:
-        groups = {}
-        for j, mask in enumerate(np.ascontiguousarray(~bound[:, todo].T)):
-            groups.setdefault(mask.tobytes(), []).append(j)
+        free = ~bound[:, todo]
+        groups = [np.zeros(1, dtype=int)]  # one column: the sort would only cost time
+        if todo.size > 1:
+            # stable: each group keeps its columns ascending, whatever the group order
+            order = np.lexsort(free[::-1])
+            cuts = np.flatnonzero((free[:, order[1:]] != free[:, order[:-1]]).any(axis=0)) + 1
+            groups = np.split(order, cuts)
         keep = np.zeros(todo.size, dtype=bool)
-        for key, at in groups.items():
+        for at in groups:
             cols = todo[at]
             Vg, Bg = V[:, cols], bound[:, cols]
-            free = np.frombuffer(key, dtype=bool)
-            changed, residual = _active_set_pass(qp, cfg, free, GX[:, cols], Vg, Bg)
+            changed, residual = _active_set_pass(qp, cfg, free[:, at[0]], GX[:, cols], Vg, Bg)
             V[:, cols], bound[:, cols] = Vg, Bg
             changes[cols] += changed
             ok[cols] = ~changed & (residual <= cfg.tol_benchmark)

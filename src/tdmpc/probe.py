@@ -86,9 +86,23 @@ class EdissFit:
 
 
 def _pair_deviations(evaluator, Xa, Xb, horizon, disturbances=None):
-    Sa = evaluator(Xa, horizon)
-    Sb = evaluator(Xb, horizon, disturbances)
-    return np.linalg.norm(Sa - Sb, axis=1)  # (horizon+1, pairs)
+    """Deviation norms (horizon+1, pairs) of the pairs (Xa, Xb), simulated
+    in one batch; the disturbances (horizon, n, pairs) drive Xb only."""
+    pairs = Xa.shape[1]
+    W = None
+    if disturbances is not None:
+        W = np.zeros((horizon, Xa.shape[0], 2 * pairs))
+        W[:, :, pairs:] = disturbances
+    S = evaluator(np.hstack([Xa, Xb]), horizon, W)
+    return np.linalg.norm(S[:, :, :pairs] - S[:, :, pairs:], axis=1)
+
+
+def _pulse_gain(devw, pulse_steps, mags, rho):
+    """Worst ratio devw[k, j] / (rho^(k-i-1) mags[j]) over the steps k > i
+    after pair j's pulse at step i = pulse_steps[j]; 0 for none."""
+    pows = np.array([rho ** j for j in range(devw.shape[0] - 1)])  # Python powers
+    k, j = np.nonzero(np.arange(devw.shape[0])[:, None] > pulse_steps)
+    return float(np.max(devw[k, j] / (pows[k - pulse_steps[j] - 1] * mags[j]), initial=0.0))
 
 
 def _geometric_envelope(traj, error, empty, growing, clamp):
@@ -176,12 +190,7 @@ def fit_ediss(evaluator, sampler, rng, r_w, pairs=200, horizon=60,
     mags = r_w * rng.uniform(0.5, 1.0, size=pairs)
     W = np.zeros((horizon, Xc.shape[0], pairs))
     W[pulse_steps, :, np.arange(pairs)] = (dirs * mags).T
-    devw = _pair_deviations(evaluator, Xc, Xc, horizon, W)
-    c_w = 0.0
-    for j in range(pairs):
-        i = int(pulse_steps[j])
-        for k in range(i + 1, horizon + 1):
-            c_w = max(c_w, float(devw[k, j] / (rho ** (k - i - 1) * mags[j])))
+    c_w = _pulse_gain(_pair_deviations(evaluator, Xc, Xc, horizon, W), pulse_steps, mags, rho)
     if c_w <= 0.0:
         raise EdissFitError("disturbance pulses produced no measurable response")
 

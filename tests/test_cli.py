@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, verbs, artifacts, and exit codes."""
 
 import argparse
+import inspect
 import math
 import re
 from pathlib import Path
@@ -100,6 +101,24 @@ def test_readme_configuration_matches_the_table(tmp_path):
     example.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
     conf = cli.resolve_config(argparse.Namespace(config=str(example), seed=None, repeats=None))
     assert conf["N"] == 5 and conf["ell_list"] == [1, 6, 40, 100]
+
+
+def test_library_defaults_match_the_table():
+    # the library's keyword defaults are what README's Library example gets
+    library = {
+        T.pgm_config: {"tol_benchmark": "tol_benchmark", "iter_cap": "iter_cap"},
+        T.compute_certificates: {"psi_samples": "psi_samples"},
+        T.fit_ediss: {"pairs": "ediss_pairs", "horizon": "ediss_horizon",
+                      "holdout_pairs": "ediss_holdout"},
+        T.audit_contraction: {"samples": "contraction_samples",
+                              "ell_max": "contraction_ell_max"},
+        T.lyapunov_finite_horizon: {"samples": "lyap_samples",
+                                    "fit_horizon": "ediss_horizon"},
+    }
+    for func, keys in library.items():
+        params = inspect.signature(func).parameters
+        for name, key in keys.items():
+            assert params[name].default == cli.CONFIG_KEYS[key][1], (func.__name__, name)
 
 
 def test_unknown_preset_exits_1(tmp_path, capsys):

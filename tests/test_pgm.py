@@ -268,6 +268,79 @@ def test_active_set_cap_with_capped_fallback_raises(pend):
     assert exc.value.residual > cfg.tol_benchmark
 
 
+# --- grouped active-set solve: same bits as the dict grouping ---
+
+
+def _dict_active_set(qp, cfg, X, V, seen):
+    """The active-set solve grouping columns by free-mask bytes in a dict.
+
+    Appends (passes, most groups in one pass) of the call to seen.
+    """
+    GX = qp.G @ X
+    bound = (V <= qp.nu_box.lower[:, None]) | (V >= qp.nu_box.upper[:, None])
+    changes = np.zeros(V.shape[1], dtype=int)
+    ok = np.zeros(V.shape[1], dtype=bool)
+    todo = np.arange(V.shape[1])
+    passes = most = 0
+    while todo.size:
+        groups = {}
+        for j, mask in enumerate(np.ascontiguousarray(~bound[:, todo].T)):
+            groups.setdefault(mask.tobytes(), []).append(j)
+        passes, most = passes + 1, max(most, len(groups))
+        keep = np.zeros(todo.size, dtype=bool)
+        for key, at in groups.items():
+            cols = todo[at]
+            Vg, Bg = V[:, cols], bound[:, cols]
+            free = np.frombuffer(key, dtype=bool)
+            changed, residual = tdmpc.pgm._active_set_pass(qp, cfg, free, GX[:, cols], Vg, Bg)
+            V[:, cols], bound[:, cols] = Vg, Bg
+            changes[cols] += changed
+            ok[cols] = ~changed & (residual <= cfg.tol_benchmark)
+            keep[at] = changed & (changes[cols] < cfg.iter_cap)
+        todo = todo[keep]
+    seen.append((passes, most))
+    return V, ok
+
+
+def test_grouped_active_set_is_bit_identical_to_dict_grouping(
+        pend, random_instance, monkeypatch):
+    rng = np.random.default_rng(34)
+    seen = []
+
+    def oracle(*args):
+        return _dict_active_set(*args, seen)
+
+    def solve_both(qp, cfg, X, nu0):
+        got = T.solve_benchmark(qp, cfg, X, nu0)
+        with monkeypatch.context() as m:
+            m.setattr(tdmpc.pgm, "_active_set", oracle)
+            return got, T.solve_benchmark(qp, cfg, X, nu0)
+
+    problems = list(_problems(pend, random_instance, rng, 40))
+    widths = np.linspace(1, 300, len(problems)).astype(int)
+    for i, ((model, qp, cfg), width) in enumerate(zip(problems, widths)):
+        # scales from the interior to far outside, where every bound saturates
+        X = rng.standard_normal((model.n, width)) * 10.0 ** rng.uniform(-2.0, 4.0, width)
+        nu0 = qp.nu_box.sample(rng, width) if i % 2 else None
+        got, want = solve_both(qp, cfg, X, nu0)
+        assert np.array_equal(got, want)
+    assert max(passes for passes, _ in seen) > 3  # several working-set changes
+    assert max(groups for _, groups in seen) > 3  # several working sets per pass
+
+    # an active-set cap reached before convergence: the same fallback, the same raise
+    capped = T.PgmConfig(pend.cfg.alpha, pend.cfg.eta, pend.cfg.tol_benchmark, 2)
+    X = np.outer(pend.x0, np.linspace(-6.0, 6.0, 13))
+    raised = []
+    for active_set in (tdmpc.pgm._active_set, oracle):
+        with monkeypatch.context() as m:
+            m.setattr(tdmpc.pgm, "_active_set", active_set)
+            with pytest.raises(T.BenchmarkSolveError) as exc:
+                T.solve_benchmark(pend.qp, capped, X)
+        assert exc.value.iterations == capped.iter_cap
+        raised.append(exc.value.residual)
+    assert raised[0] == raised[1]
+
+
 # --- lean controller loop: same iterates, bit for bit ---
 
 

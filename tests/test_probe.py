@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tdmpc as T
-from tdmpc.probe import _holdout_margins
+from tdmpc.probe import _holdout_margins, _pair_deviations, _pulse_gain
 
 
 def linear_map_evaluator(A):
@@ -100,6 +100,57 @@ def test_fit_pendulum_benchmark_loop(pend_fit):
     assert pend_fit.worst_slack >= 0.0
     lines = pend_fit.to_lines()
     assert any(ln.startswith("rho = 0.9") for ln in lines)
+
+
+def test_fit_simulates_each_pair_set_in_one_call():
+    widths = []
+    linear = linear_map_evaluator([[0.5]])
+
+    def counting(X0, horizon, disturbances=None):
+        widths.append(X0.shape[1])
+        return linear(X0, horizon, disturbances)
+
+    rng = np.random.default_rng(60)
+    T.fit_ediss(counting, box_sampler(1), rng, r_w=0.1, pairs=50, horizon=20, holdout_pairs=30)
+    assert widths == [100, 100, 60]  # one call per pair set, and no holdout retry
+
+
+def test_pair_deviations_match_separate_simulations(pend_evaluator, pend_sampler):
+    # BLAS products may round differently at another batch width, so the
+    # one-batch deviations are pinned to round-off, not to the bit
+    rng = np.random.default_rng(70)
+    horizon, pairs = 30, 40
+    Xa, Xb = pend_sampler(rng, pairs), pend_sampler(rng, pairs)
+    W = 0.01 * rng.standard_normal((horizon, 2, pairs))
+    for Yb, dist in ((Xb, None), (Xa, W), (Xb, W)):
+        got = _pair_deviations(pend_evaluator, Xa, Yb, horizon, dist)
+        want = np.linalg.norm(
+            pend_evaluator(Xa, horizon) - pend_evaluator(Yb, horizon, dist), axis=1)
+        assert got.shape == (horizon + 1, pairs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+
+
+def pulse_gain_double_loop(devw, pulse_steps, mags, rho):
+    """The per-pair, per-step gain read-off that _pulse_gain vectorizes."""
+    c_w = 0.0
+    for j in range(devw.shape[1]):
+        i = int(pulse_steps[j])
+        for k in range(i + 1, devw.shape[0]):
+            c_w = max(c_w, float(devw[k, j] / (rho ** (k - i - 1) * mags[j])))
+    return c_w
+
+
+def test_pulse_gain_equals_the_double_loop():
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        horizon, pairs = int(rng.integers(4, 70)), int(rng.integers(1, 15))
+        devw = rng.uniform(0.0, 1.0, (horizon + 1, pairs)) * 10.0 ** rng.uniform(-3.0, 1.0)
+        pulse_steps = rng.integers(0, horizon // 2, size=pairs)
+        mags = rng.uniform(0.5, 1.0, pairs) * 10.0 ** rng.uniform(-3.0, 0.0)
+        rho = float(rng.uniform(0.05, 0.999))
+        got = _pulse_gain(devw, pulse_steps, mags, rho)
+        assert got > 0.0
+        assert got == pulse_gain_double_loop(devw, pulse_steps, mags, rho)
 
 
 def holdout_double_loop(devh, wnorms, rho, c0, c_w):
