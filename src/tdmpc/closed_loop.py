@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .numerics import NumericsError
-from .pgm import pgm_iterate, solve_benchmark
+from .pgm import _iteration_count, _pgm_iterate_untimed, pgm_iterate, solve_benchmark
 
 
 class ClosedLoopRun:
@@ -115,9 +115,9 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     if T < 1:
         raise NumericsError(f"horizon T must be >= 1, got {T}")
     if np.isscalar(ell_schedule):
-        schedule = [int(ell_schedule)] * T
+        schedule = [_iteration_count(ell_schedule)] * T
     else:
-        schedule = [int(e) for e in ell_schedule]
+        schedule = [_iteration_count(e) for e in ell_schedule]
     if len(schedule) != T:
         raise NumericsError(
             f"iteration schedule has length {len(schedule)}, expected {T}"
@@ -145,6 +145,8 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     aborted_at = None
     steps_done = 0
     mu = mu0
+    # untimed runs skip exact repeats of the orbit; timed runs time every step
+    iterate = pgm_iterate if repeats else _pgm_iterate_untimed
     for k in range(T):
         xk = states[k]
         if k > 0:
@@ -153,7 +155,7 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
         warm_start = nu
         ell = schedule[k]
         nu, times[k] = _timed_loop(
-            lambda: pgm_iterate(qp, cfg, xk, warm_start, ell), repeats
+            lambda: iterate(qp, cfg, xk, warm_start, ell), repeats
         )
         d_norms[k] = np.linalg.norm(nu - mu)
         inputs[k] = nu

@@ -13,6 +13,8 @@ residual of that iteration; the iteration run to convergence is its
 fallback and its test oracle.
 """
 
+import operator
+
 import numpy as np
 
 from .condensed import _batched, _batched_pair
@@ -69,6 +71,41 @@ def _pgm_steps(qp, cfg, GX, V, ell):
     return V
 
 
+_CYCLE_WINDOW = 60
+
+
+def _pgm_iterate_untimed(qp, cfg, x, nu, ell):
+    """pgm_iterate(qp, cfg, x, nu, ell) for ell >= 1, skipping exact repeats of the orbit.
+
+    Runs the kernel in windows of _CYCLE_WINDOW steps.  For fixed GX and
+    box a step is a function of its input iterate, so once a window ends
+    on the iterate it started from, the orbit repeats with a period
+    dividing the window and only the remainder of ell is left to run.
+    Both compared iterates are kernel outputs (fresh C-ordered arrays),
+    never the caller's nu, whose layout may differ.  The skipped steps
+    never execute, so this must not be timed: timed runs use pgm_iterate.
+    """
+    X, V, squeeze = _batched_pair(qp, x, nu)
+    GX, W = qp.G @ X, _CYCLE_WINDOW
+    left, prev = ell, None
+    while left >= W:
+        V, left = _pgm_steps(qp, cfg, GX, V, W), left - W
+        if prev is not None and np.array_equal(V, prev):
+            left %= W
+            break
+        prev = V
+    out = _pgm_steps(qp, cfg, GX, V, left)
+    return out[:, 0] if squeeze else out
+
+
+def _iteration_count(ell):
+    """ell as a Python int; NumericsError unless it is a Python or numpy integer."""
+    try:
+        return operator.index(ell)
+    except TypeError:
+        raise NumericsError(f"iteration count must be an integer, got {ell!r}") from None
+
+
 def pgm_step(qp, cfg, x, nu):
     """One projected gradient step on nu at parameter x; batched like cost."""
     X, V, squeeze = _batched_pair(qp, x, nu)
@@ -78,10 +115,10 @@ def pgm_step(qp, cfg, x, nu):
 
 def pgm_iterate(qp, cfg, x, nu, ell):
     """Apply ell projected gradient steps; ell = 0 returns a copy of nu."""
+    ell = _iteration_count(ell)
     if ell < 0:
         raise NumericsError(f"iteration count must be >= 0, got {ell}")
     X, V, squeeze = _batched_pair(qp, x, nu)
-    ell = int(ell)
     if ell == 0:
         return np.array(nu, dtype=float)
     out = _pgm_steps(qp, cfg, qp.G @ X, V, ell)

@@ -350,3 +350,22 @@ def test_out_of_range_saved_fit_exits_1(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and str(path) in err and repr(key) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_sweep_timing_changes_only_compute_time(tmp_path):
+    # repeats = 0 skips exact repeats of the controller's orbit, repeats = 1
+    # times every step: the rows agree in every other column
+    conf = write_conf(tmp_path, extra="T = 3\nell_list = [6, 5000]\n")
+    rows = {}
+    for repeats in ("0", "1"):
+        out = tmp_path / f"r{repeats}"
+        assert cli.main(["--config", conf, "--out", str(out), "--repeats", repeats,
+                         "sweep"]) == 0
+        rows[repeats] = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()]
+    header = rows["0"][0]
+    assert header == rows["1"][0] and len(rows["0"]) == 3
+    timed = header.index("compute_time_s")
+    for untimed_row, timed_row in zip(rows["0"][1:], rows["1"][1:], strict=True):
+        assert untimed_row[timed] == "0.0" and float(timed_row[timed]) > 0.0
+        del untimed_row[timed], timed_row[timed]
+        assert untimed_row == timed_row

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tdmpc as T
+import tdmpc.closed_loop as closed_loop
 
 
 def test_benchmark_from_origin_stays_at_origin(pend):
@@ -174,3 +175,34 @@ def test_negative_repeats_raises(pend):
         T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 3, 2, repeats=-1)
     with pytest.raises(T.NumericsError, match="repeats"):
         T.run_benchmark(pend.model, pend.qp, pend.cfg, pend.x0, 2, repeats=-1)
+
+
+def test_timed_run_times_every_full_iteration_loop(pend, monkeypatch):
+    # repeats >= 1 times pgm_iterate, the real ell-step loop, never the skipping one
+    calls = []
+    iterate = closed_loop.pgm_iterate
+
+    def recording(qp, cfg, x, nu, ell):
+        calls.append(ell)
+        return iterate(qp, cfg, x, nu, ell)
+
+    def untimed(*args):
+        raise AssertionError("a timed run used the untimed iterate")
+
+    monkeypatch.setattr(closed_loop, "pgm_iterate", recording)
+    monkeypatch.setattr(closed_loop, "_pgm_iterate_untimed", untimed)
+    run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 2300, 3, repeats=2)
+    assert calls == [2300] * (3 * 2)
+    assert np.all(run.solve_times > 0.0)
+
+
+def test_iteration_schedule_must_be_integral(pend):
+    for schedule in (2.5, [1.9, 2, 2], [2, 2, np.float64(3.0)]):
+        with pytest.raises(T.NumericsError, match="iteration count must be an integer"):
+            T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, schedule, 3, repeats=0)
+    run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, np.int64(2), 3, repeats=0)
+    assert run.ell_schedule == [2, 2, 2]
+    assert all(type(e) is int for e in run.ell_schedule)
+    run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, np.array([2, 3, 4]), 3,
+                      repeats=0)
+    assert run.ell_schedule == [2, 3, 4]

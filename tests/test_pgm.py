@@ -5,6 +5,7 @@ import pytest
 
 import tdmpc as T
 import tdmpc.pgm
+from conftest import PendulumSetup
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +424,107 @@ def test_pair_checks_share_one_message(pend):
             call()
     with pytest.raises(T.NumericsError, match="nu has leading dimension 4"):
         T.pgm_iterate(pend.qp, pend.cfg, X[:, 0], np.zeros(4), 2)
+
+
+# --- untimed controller loop: exact repeats of the orbit are skipped ---
+
+W = tdmpc.pgm._CYCLE_WINDOW
+ELLS = (1, W - 1, W, W + 1, 2 * W, 2300, 5000)
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """Counts the projected gradient steps the kernel actually executes."""
+    count = [0]
+    kernel = tdmpc.pgm._pgm_steps
+
+    def counted(qp, cfg, GX, V, ell):
+        count[0] += ell
+        return kernel(qp, cfg, GX, V, ell)
+
+    monkeypatch.setattr(tdmpc.pgm, "_pgm_steps", counted)
+    return count
+
+
+def _untimed(qp, cfg, x, nu, ell, kernel_steps):
+    """(_pgm_iterate_untimed's result, kernel steps it executed)."""
+    before = kernel_steps[0]
+    out = tdmpc.pgm._pgm_iterate_untimed(qp, cfg, x, nu, ell)
+    return out, kernel_steps[0] - before
+
+
+def test_untimed_iterate_equals_pgm_iterate_on_pendulum(pend, kernel_steps):
+    for N in (3, 4, 5, 6):
+        setup = pend if N == pend.N else PendulumSetup(N)
+        qp, cfg = setup.qp, setup.cfg
+        nu0 = np.zeros(qp.H.shape[0])
+        for ell in ELLS:
+            out, _ = _untimed(qp, cfg, setup.x0, nu0, ell, kernel_steps)
+            assert out.shape == nu0.shape
+            assert np.array_equal(out, T.pgm_iterate(qp, cfg, setup.x0, nu0, ell)), (N, ell)
+    # the cold-start orbit at N = 5 cycles after about 2,100 steps
+    _, executed = _untimed(pend.qp, pend.cfg, pend.x0, np.zeros(pend.qp.H.shape[0]), 5000,
+                           kernel_steps)
+    assert executed < 3000
+
+
+def test_untimed_iterate_fixed_point_from_the_first_step(pend, kernel_steps):
+    # x = 0, nu = 0 is the minimizer: period 1, found after the second window
+    x, nu = np.zeros(2), np.zeros(pend.qp.H.shape[0])
+    for ell in ELLS:
+        out, executed = _untimed(pend.qp, pend.cfg, x, nu, ell, kernel_steps)
+        assert np.array_equal(out, T.pgm_iterate(pend.qp, pend.cfg, x, nu, ell))
+        assert executed == (ell if ell < 2 * W else 2 * W + (ell - 2 * W) % W)
+
+
+def test_untimed_iterate_batched_columns_cycle_at_different_steps(pend, kernel_steps):
+    # states along the benchmark run: each column enters its cycle at its own step
+    X = T.run_benchmark(pend.model, pend.qp, pend.cfg, pend.x0, 8, repeats=0).states.T
+    NU = np.zeros((pend.qp.H.shape[0], X.shape[1]))
+    batch, executed = _untimed(pend.qp, pend.cfg, X, NU, 5000, kernel_steps)
+    assert np.array_equal(batch, T.pgm_iterate(pend.qp, pend.cfg, X, NU, 5000))
+    singles = [_untimed(pend.qp, pend.cfg, x, NU[:, 0], 5000, kernel_steps)[1]
+               for x in X.T]
+    assert len(set(singles)) > 1
+    # the batch skips once its last column has cycled
+    assert executed == max(singles) < 5000
+
+
+def test_untimed_iterate_strided_caller_input(pend, kernel_steps):
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((2, 4))
+    NU = pend.qp.nu_box.sample(rng, 4)
+    strided = lambda A: np.repeat(A, 2, axis=1)[:, ::2]
+    Xs, NUs = strided(X), strided(NU)
+    before = NUs.copy()
+    for ell in ELLS:
+        out, _ = _untimed(pend.qp, pend.cfg, Xs, NUs, ell, kernel_steps)
+        assert np.array_equal(out, T.pgm_iterate(pend.qp, pend.cfg, Xs, NUs, ell))
+        assert out is not NUs
+    assert np.array_equal(NUs, before)
+
+
+def test_untimed_iterate_equals_pgm_iterate_on_random_instances(random_instance, kernel_steps):
+    rng = np.random.default_rng(43)
+    skipped = 0
+    for _ in range(12):
+        model, qp, cfg, _ = random_instance(rng)
+        X = rng.standard_normal((model.n, 3)) * np.logspace(-1.0, 2.0, 3)
+        NU = qp.nu_box.sample(rng, 3)
+        for ell in (1, W - 1, W + 1, 2 * W, int(rng.integers(1, 3000))):
+            out, executed = _untimed(qp, cfg, X, NU, ell, kernel_steps)
+            assert np.array_equal(out, T.pgm_iterate(qp, cfg, X, NU, ell))
+            single, _ = _untimed(qp, cfg, X[:, 0], NU[:, 0], ell, kernel_steps)
+            assert np.array_equal(single, T.pgm_iterate(qp, cfg, X[:, 0], NU[:, 0], ell))
+            skipped += executed < ell
+    assert skipped > 0
+
+
+def test_iteration_count_must_be_an_integer(pend):
+    x, nu = pend.x0, np.zeros(pend.qp.H.shape[0])
+    for ell in (2.5, 2.0, np.float64(3.0), "3", None):
+        with pytest.raises(T.NumericsError, match="iteration count must be an integer"):
+            T.pgm_iterate(pend.qp, pend.cfg, x, nu, ell)
+    expected = T.pgm_iterate(pend.qp, pend.cfg, x, nu, 3)
+    for ell in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert np.array_equal(T.pgm_iterate(pend.qp, pend.cfg, x, nu, ell), expected)
