@@ -114,7 +114,7 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
         raise NumericsError(f"x0 has dimension {x0.size}, expected {model.n}")
     if T < 1:
         raise NumericsError(f"horizon T must be >= 1, got {T}")
-    if np.isscalar(ell_schedule):
+    if np.ndim(ell_schedule) == 0:
         schedule = [_iteration_count(ell_schedule)] * T
     else:
         schedule = [_iteration_count(e) for e in ell_schedule]

@@ -55,19 +55,34 @@ def pgm_config(qp, tol_benchmark=1e-12, iter_cap=10**6):
     return PgmConfig(alpha, eta, float(tol_benchmark), int(iter_cap))
 
 
+# numpy's 3-input clip ufunc, min(max(x, lo), hi) in one C call (np.clip
+# wraps it in Python); numpy 2 moved it from np.core to np._core
+_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
+
+
 def _pgm_steps(qp, cfg, GX, V, ell):
     """ell projected gradient steps on checked (dim, batch) arrays.
 
-    GX = G @ X is formed once by the caller.  min(max(., lo), hi) is what
-    np.clip computes for the finite bounds lo < hi, so every iterate is
-    the same, bit for bit, as the projection of V - 2 alpha (H V + G X).
-    H.dot (H @ V without matmul's dispatch) and a 0-d 2 alpha (no per-call
-    float conversion) compute the same values, only at less cost.
+    GX = G @ X is formed once by the caller.  Each step computes
+    min(max(V - 2 alpha (H V + G X), lo), hi), which is what np.clip
+    computes for the finite bounds lo < hi, with the same operations in
+    the same order, so every iterate keeps its bits.  The steps write into
+    a fresh C-ordered copy of V and one scratch array through positional
+    out arguments: no allocation per step, the caller's V is never
+    written and every call returns a new array.  H.dot is H @ V without
+    matmul's dispatch, and 2 alpha is 0-d (no per-step float conversion).
     """
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    a2, dot, vmax, vmin = np.array(cfg.alpha * 2.0), qp.H.dot, np.maximum, np.minimum
+    a2, dot, add, mul, sub, clip = (np.array(cfg.alpha * 2.0), qp.H.dot, np.add,
+                                    np.multiply, np.subtract, _clip)
+    V = np.array(V, dtype=float, order="C")
+    T = np.empty_like(V)
     for _ in range(ell):
-        V = vmin(vmax(V - a2 * (dot(V) + GX), lo), hi)
+        dot(V, T)
+        add(T, GX, T)
+        mul(a2, T, T)
+        sub(V, T, T)
+        clip(T, lo, hi, V)
     return V
 
 
@@ -82,15 +97,17 @@ def _pgm_iterate_untimed(qp, cfg, x, nu, ell):
     on the iterate it started from, the orbit repeats with a period
     dividing the window and only the remainder of ell is left to run.
     Both compared iterates are kernel outputs (fresh C-ordered arrays),
-    never the caller's nu, whose layout may differ.  The skipped steps
-    never execute, so this must not be timed: timed runs use pgm_iterate.
+    never the caller's nu, whose layout may differ, so equal bytes mean
+    equal bits (np.array_equal would also match 0.0 with -0.0).  The
+    skipped steps never execute, so this must not be timed: timed runs
+    use pgm_iterate.
     """
     X, V, squeeze = _batched_pair(qp, x, nu)
     GX, W = qp.G @ X, _CYCLE_WINDOW
     left, prev = ell, None
     while left >= W:
         V, left = _pgm_steps(qp, cfg, GX, V, W), left - W
-        if prev is not None and np.array_equal(V, prev):
+        if prev is not None and V.tobytes() == prev.tobytes():
             left %= W
             break
         prev = V
@@ -119,8 +136,6 @@ def pgm_iterate(qp, cfg, x, nu, ell):
     if ell < 0:
         raise NumericsError(f"iteration count must be >= 0, got {ell}")
     X, V, squeeze = _batched_pair(qp, x, nu)
-    if ell == 0:
-        return np.array(nu, dtype=float)
     out = _pgm_steps(qp, cfg, qp.G @ X, V, ell)
     return out[:, 0] if squeeze else out
 

@@ -206,3 +206,13 @@ def test_iteration_schedule_must_be_integral(pend):
     run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, np.array([2, 3, 4]), 3,
                       repeats=0)
     assert run.ell_schedule == [2, 3, 4]
+
+
+def test_zero_dimensional_schedule_is_a_scalar(pend):
+    run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, np.array(5), 3, repeats=0)
+    scalar = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 5, 3, repeats=0)
+    assert run.ell_schedule == [5, 5, 5]
+    assert all(type(e) is int for e in run.ell_schedule)
+    assert run.inputs.tobytes() == scalar.inputs.tobytes()
+    with pytest.raises(T.NumericsError, match="iteration count must be an integer"):
+        T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, np.array(2.5), 3, repeats=0)

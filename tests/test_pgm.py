@@ -1,5 +1,8 @@
 """Projected-gradient solver: step size, contraction, fixed points, benchmark stop."""
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -401,6 +404,64 @@ def test_iterate_leaves_nu_unchanged(pend):
             assert np.array_equal(nu, before)
 
 
+def test_kernel_copies_the_callers_array(pend):
+    # never writes the caller's V, and every call returns a new array, so
+    # the untimed windows can keep the previous window's output
+    rng = np.random.default_rng(32)
+    X = rng.standard_normal((2, 3))
+    GX = pend.qp.G @ X
+    NU = pend.qp.nu_box.sample(rng, 3)
+    for V in (np.ascontiguousarray(NU), np.asfortranarray(NU), NU[:, :1]):
+        assert V.dtype == np.float64
+        before = V.copy()
+        for ell in (0, 1, 7):
+            a, b = (tdmpc.pgm._pgm_steps(pend.qp, pend.cfg, GX[:, :V.shape[1]], V, ell)
+                    for _ in range(2))
+            assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+            assert not (np.shares_memory(a, V) or np.shares_memory(a, b))
+            assert np.array_equal(V, before)
+
+
+def test_iterate_keeps_zero_signs_of_clip_loop(pend):
+    # a zero bound and -0.0 entries in nu: the iterates must match bit for
+    # bit, so compare bytes (np.array_equal treats 0.0 and -0.0 as equal)
+    rng = np.random.default_rng(34)
+    nNu, cfg = pend.qp.H.shape[0], pend.cfg
+    signed = 0
+    for lower, upper in ((0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)):
+        # BoxSet keeps 0 interior; the kernel reads only the two bound vectors
+        qp = copy.copy(pend.qp)
+        qp.nu_box = SimpleNamespace(lower=np.full(nNu, lower), upper=np.full(nNu, upper))
+        X = np.column_stack([np.zeros(2), rng.standard_normal((2, 5)) * np.logspace(-3, 1, 5)])
+        NU = np.where(rng.random((nNu, 6)) < 0.5, -0.0, rng.uniform(lower, upper, (nNu, 6)))
+        NU[:, 0] = -0.0  # at x = 0 the gradient is +0.0, so -0.0 must survive each step
+        for ell in (0, 1, 2, 9):
+            out = T.pgm_iterate(qp, cfg, X, NU, ell)
+            assert out.tobytes() == _clip_loop(qp, cfg, X, NU, ell).tobytes(), (lower, ell)
+            for j in range(X.shape[1]):
+                single = T.pgm_iterate(qp, cfg, X[:, j], NU[:, j], ell)
+                assert single.tobytes() == _clip_loop(qp, cfg, X[:, j], NU[:, j], ell).tobytes()
+            if ell:
+                signed += int(np.sum((out == 0.0) & np.signbit(out)))
+    assert signed > 0
+
+
+def test_clip_ufunc_is_max_then_min():
+    clip = tdmpc.pgm._clip
+    assert isinstance(clip, np.ufunc) and (clip.nin, clip.nout) == (3, 1)
+    vals = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan])
+    x, lo, hi = (a.ravel() for a in np.meshgrid(vals, vals, vals, indexing="ij"))
+    expected = np.minimum(np.maximum(x, lo), hi)
+    assert clip(x, lo, hi).tobytes() == expected.tobytes()
+    assert np.clip(x, lo, hi).tobytes() == expected.tobytes()
+    # broadcast bounds and a positional out, as the kernel calls it
+    X = np.tile(vals, (vals.size, 1)).T.copy()
+    out = np.empty_like(X)
+    for b in (vals[:, None], np.zeros((vals.size, 1)), -np.zeros((vals.size, 1))):
+        clip(X, b, np.abs(b), out)
+        assert out.tobytes() == np.minimum(np.maximum(X, b), np.abs(b)).tobytes()
+
+
 def test_step_equals_one_iteration(pend, random_instance):
     rng = np.random.default_rng(31)
     for model, qp, cfg in _problems(pend, random_instance, rng, 20):
@@ -518,6 +579,22 @@ def test_untimed_iterate_equals_pgm_iterate_on_random_instances(random_instance,
             assert np.array_equal(single, T.pgm_iterate(qp, cfg, X[:, 0], NU[:, 0], ell))
             skipped += executed < ell
     assert skipped > 0
+
+
+def test_untimed_iterate_tells_zero_signs_apart(pend, monkeypatch):
+    # a kernel whose windows alternate between 0.0 and -0.0: equal under
+    # np.array_equal, different in bits, so no window may count as a cycle
+    calls = []
+
+    def negate(qp, cfg, GX, V, ell):
+        calls.append(ell)
+        return -V if ell else V.copy()
+
+    monkeypatch.setattr(tdmpc.pgm, "_pgm_steps", negate)
+    nu = np.zeros(pend.qp.H.shape[0])
+    out = tdmpc.pgm._pgm_iterate_untimed(pend.qp, pend.cfg, pend.x0, nu, 10 * W)
+    assert calls == [W] * 10 + [0]
+    assert not np.signbit(out).any()
 
 
 def test_iteration_count_must_be_an_integer(pend):
