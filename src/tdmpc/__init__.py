@@ -24,7 +24,6 @@ from .closed_loop import (
     read_run_csv,
     run_benchmark,
     run_tdmpc,
-    run_to_csv_text,
     truncate_run,
     write_run_csv,
 )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_loop import _benchmark_steps
 from .condensed import cost
 from .numerics import (
     mat_inv_sqrt,
@@ -94,9 +95,8 @@ def check_psi_decay(model, qp, cfg, beta, r_N, rng, samples=500):
     ratio psi(x+) / psi(x); raises if it exceeds beta beyond round-off.
     """
     X = sample_gamma(qp, cfg, r_N, rng, samples)
-    NU = solve_benchmark(qp, cfg, X)
+    NU, _, X_next, _ = next(_benchmark_steps(model, qp, cfg, X, 1, 0))
     psi0 = psi_value(qp, cfg, X, NU)
-    X_next = model.step(X, qp.S @ NU)
     psi1 = psi_value(qp, cfg, X_next)
     ratios = psi1 / np.maximum(psi0, 1e-300)
     worst = float(np.max(ratios))

@@ -8,8 +8,9 @@ the suboptimality bounds track.  Each run records states, inputs, the
 per-step optimizer errors and wall-clock time of the iteration loop.
 """
 
-import io
+import operator
 import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,28 +18,26 @@ from .numerics import NumericsError
 from .pgm import _iteration_count, _pgm_iterate_untimed, pgm_iterate, solve_benchmark
 
 
+@dataclass(eq=False)
 class ClosedLoopRun:
     """Record of one closed-loop simulation.
 
     states has one more row than applied; d_norms, warm_gap_norms and
-    ell_schedule are None for benchmark runs.  An unstable run keeps the
-    prefix up to and including the first diverged state and sets
-    aborted_at to its index.
+    ell_schedule are None for benchmark runs, and inputs is None for runs
+    read from CSV.  An unstable run keeps the prefix up to and including
+    the first diverged state and sets aborted_at to its index.
     """
 
-    def __init__(self, states, inputs, applied, solve_times, d_norms=None,
-                 warm_gap_norms=None, ell_schedule=None, delta_u0_norm=None,
-                 stable=True, aborted_at=None):
-        self.states = states
-        self.inputs = inputs
-        self.applied = applied
-        self.solve_times = solve_times
-        self.d_norms = d_norms
-        self.warm_gap_norms = warm_gap_norms
-        self.ell_schedule = ell_schedule
-        self.delta_u0_norm = delta_u0_norm
-        self.stable = stable
-        self.aborted_at = aborted_at
+    states: np.ndarray
+    inputs: np.ndarray
+    applied: np.ndarray
+    solve_times: np.ndarray
+    d_norms: np.ndarray = None
+    warm_gap_norms: np.ndarray = None
+    ell_schedule: list = None
+    delta_u0_norm: float = None
+    stable: bool = True
+    aborted_at: int = None
 
     @property
     def T(self):
@@ -67,35 +66,45 @@ def _timed_loop(fn, repeats):
     return result, total / repeats
 
 
-def run_benchmark(model, qp, cfg, x0, T, repeats=1):
-    """Simulate T steps of the benchmark loop u_k = S mu*(x_k).
-
-    Each solve is warm-started from the previous minimizer; timing wraps
-    the solve only, never the bookkeeping around it.
-    """
+def _check_start(model, x0, T):
+    """x0 as a flat float array and T as an int >= 1; NumericsError otherwise."""
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != model.n:
         raise NumericsError(f"x0 has dimension {x0.size}, expected {model.n}")
+    try:
+        T = operator.index(T)
+    except TypeError:
+        raise NumericsError(f"horizon T must be an integer, got {T!r}") from None
     if T < 1:
         raise NumericsError(f"horizon T must be >= 1, got {T}")
-    n, nNu = model.n, qp.H.shape[0]
-    states = np.zeros((T + 1, n))
-    inputs = np.zeros((T, nNu))
-    applied = np.zeros((T, model.m))
-    times = np.zeros(T)
-    states[0] = x0
-    warm = np.zeros(nNu)
+    return x0, T
+
+
+def _benchmark_steps(model, qp, cfg, x, T, repeats, disturbances=None):
+    """The benchmark loop u_k = S mu*(x_k) from x of shape (n,) or (n, batch).
+
+    Yields (mu_k, u_k, x_{k+1}, seconds) for k < T.  Each solve is
+    warm-started from the previous minimizer (zeros at k = 0) and timed
+    alone through _timed_loop; disturbances[k], when given, is added to
+    x_{k+1}.  run_benchmark, the probes' evaluator and the decay check
+    all step this one loop.
+    """
+    mu = np.zeros(qp.H.shape[:1] + x.shape[1:])
     for k in range(T):
-        xk = states[k]
-        warm_start = warm.copy()
-        mu, times[k] = _timed_loop(
-            lambda: solve_benchmark(qp, cfg, xk, warm_start), repeats
-        )
-        inputs[k] = mu
-        applied[k] = qp.S @ mu
-        states[k + 1] = model.step(xk, applied[k])
-        warm = mu
-    return ClosedLoopRun(states, inputs, applied, times)
+        mu, seconds = _timed_loop(lambda: solve_benchmark(qp, cfg, x, mu), repeats)
+        u = qp.S @ mu
+        x = model.step(x, u)
+        if disturbances is not None:
+            x = x + disturbances[k]
+        yield mu, u, x, seconds
+
+
+def run_benchmark(model, qp, cfg, x0, T, repeats=1):
+    """Simulate T steps of the benchmark loop u_k = S mu*(x_k), timing each solve."""
+    x0, T = _check_start(model, x0, T)
+    inputs, applied, states, times = zip(*_benchmark_steps(model, qp, cfg, x0, T, repeats))
+    return ClosedLoopRun(np.array((x0,) + states), np.array(inputs), np.array(applied),
+                         np.array(times))
 
 
 def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
@@ -109,11 +118,7 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     timed loop from an instrumentation solve.  A state whose norm exceeds
     1e6 * (1 + ||x0||) aborts the run and marks it unstable.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.size != model.n:
-        raise NumericsError(f"x0 has dimension {x0.size}, expected {model.n}")
-    if T < 1:
-        raise NumericsError(f"horizon T must be >= 1, got {T}")
+    x0, T = _check_start(model, x0, T)
     if np.ndim(ell_schedule) == 0:
         schedule = [_iteration_count(ell_schedule)] * T
     else:
@@ -203,53 +208,27 @@ def truncate_run(run, T):
     """Prefix of a run with T applied inputs; used to compare against a shorter run."""
     if T > run.T:
         raise NumericsError(f"cannot truncate a {run.T}-step run to {T} steps")
-    take = lambda a: None if a is None else a[:T]
-    return ClosedLoopRun(
-        run.states[:T + 1], run.inputs[:T], run.applied[:T], run.solve_times[:T],
-        take(run.d_norms), take(run.warm_gap_norms),
-        None if run.ell_schedule is None else list(run.ell_schedule[:T]),
-        run.delta_u0_norm, run.stable, run.aborted_at,
-    )
-
-
-def _fmt(v):
-    return repr(float(v))
-
-
-def run_to_csv_text(run):
-    """CSV serialization of a run; benchmark runs omit the optimizer-error column."""
-    n = run.states.shape[1]
-    m = run.applied.shape[1]
-    with_d = run.d_norms is not None
-    cols = ["k"]
-    cols += [f"x_{i + 1}" for i in range(n)]
-    cols += [f"u_applied_{i + 1}" for i in range(m)]
-    if with_d:
-        cols.append("norm_d_k")
-    cols.append("solve_time_s")
-    out = io.StringIO()
-    out.write(",".join(cols) + "\n")
-    T = run.T
-    for k in range(T + 1):
-        row = [str(k)]
-        row += [_fmt(v) for v in run.states[k]]
-        if k < T:
-            row += [_fmt(v) for v in run.applied[k]]
-            if with_d:
-                row.append(_fmt(run.d_norms[k]))
-            row.append(_fmt(run.solve_times[k]))
-        else:
-            row += [""] * m
-            if with_d:
-                row.append("")
-            row.append("")
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    per_step = ("states", "inputs", "applied", "solve_times", "d_norms",
+                "warm_gap_norms", "ell_schedule")
+    return replace(run, **{f: v[:T + 1 if f == "states" else T] for f in per_step
+                           if (v := getattr(run, f)) is not None})
 
 
 def write_run_csv(run, path):
+    """Write a run as CSV, one row per state; benchmark runs omit norm_d_k.
+
+    The last row holds the final state and leaves the per-step columns empty.
+    """
+    d = [] if run.d_norms is None else [run.d_norms]
+    cols = ["k"] + [f"x_{i + 1}" for i in range(run.states.shape[1])]
+    cols += [f"u_applied_{i + 1}" for i in range(run.applied.shape[1])]
+    cols += ["norm_d_k"] * len(d) + ["solve_time_s"]
+    steps = np.column_stack([run.applied, *d, run.solve_times])
+    tails = [[repr(float(v)) for v in row] for row in steps] + [[""] * steps.shape[1]]
     with open(path, "w") as fh:
-        fh.write(run_to_csv_text(run))
+        fh.write(",".join(cols) + "\n")
+        for k, (x, tail) in enumerate(zip(run.states, tails)):
+            fh.write(",".join([str(k)] + [repr(float(v)) for v in x] + tail) + "\n")
 
 
 def read_run_csv(path):
@@ -260,24 +239,11 @@ def read_run_csv(path):
     stored in the CSV.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
+        header, *rows = [ln.strip().split(",") for ln in fh if ln.strip()]
+    table = np.array([[float(v) if v else np.nan for v in row] for row in rows])
     n = sum(1 for h in header if h.startswith("x_"))
     m = sum(1 for h in header if h.startswith("u_applied_"))
-    with_d = "norm_d_k" in header
-    rows = [ln.split(",") for ln in lines[1:]]
-    T = len(rows) - 1
-    states = np.zeros((T + 1, n))
-    applied = np.zeros((T, m))
-    d_norms = np.zeros(T) if with_d else None
-    times = np.zeros(T)
-    for k, row in enumerate(rows):
-        states[k] = [float(v) for v in row[1:1 + n]]
-        if k < T:
-            applied[k] = [float(v) for v in row[1 + n:1 + n + m]]
-            idx = 1 + n + m
-            if with_d:
-                d_norms[k] = float(row[idx])
-                idx += 1
-            times[k] = float(row[idx])
-    return ClosedLoopRun(states, None, applied, times, d_norms)
+    steps = table[:-1]
+    d_norms = steps[:, header.index("norm_d_k")].copy() if "norm_d_k" in header else None
+    return ClosedLoopRun(table[:, 1:1 + n].copy(), None, steps[:, 1 + n:1 + n + m].copy(),
+                         steps[:, -1].copy(), d_norms)

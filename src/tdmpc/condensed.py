@@ -97,8 +97,9 @@ def build_condensed(model, Q, R, P, N, u_box):
 
 def _batched(v, dim, name):
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != dim:
-        raise NumericsError(f"{name} has leading dimension {v.shape[0]}, expected {dim}")
+    if v.shape[:1] != (dim,):
+        lead = v.shape[0] if v.ndim else "none"
+        raise NumericsError(f"{name} has leading dimension {lead}, expected {dim}")
     squeeze = v.ndim == 1
     if squeeze:
         v = v[:, None]

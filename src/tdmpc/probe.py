@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_loop import _benchmark_steps
+from .condensed import _batched
 from .numerics import NumericsError
 from .pgm import _pgm_steps, solve_benchmark
 from .report import field_pairs, kv_lines
@@ -41,29 +43,19 @@ class LyapunovError(ProbeError):
 def make_benchmark_evaluator(model, qp, cfg):
     """Batched closed-loop evaluator of the benchmark policy.
 
-    The returned callable maps an (n, batch) array of initial states to a
-    (horizon+1, n, batch) array of trajectories, optionally adding a
-    per-step additive disturbance of shape (horizon, n, batch).  Solves
-    are warm-started across steps.
+    The returned callable maps an (n, batch) array of initial states (or
+    one state (n,), run as one column) to a (horizon+1, n, batch) array of
+    trajectories, optionally adding a per-step additive disturbance of
+    shape (horizon, n, batch).  Solves are warm-started across steps.
     """
 
     def evaluator(X0, horizon, disturbances=None):
-        X = np.atleast_2d(np.asarray(X0, dtype=float))
-        if X.shape[0] != model.n:
-            raise NumericsError(
-                f"initial states have leading dimension {X.shape[0]}, expected {model.n}"
-            )
-        batch = X.shape[1]
-        states = np.zeros((horizon + 1, model.n, batch))
-        states[0] = X
-        warm = np.zeros((qp.H.shape[0], batch))
-        for k in range(horizon):
-            mu = solve_benchmark(qp, cfg, states[k], warm)
-            warm = mu
-            nxt = model.step(states[k], qp.S @ mu)
-            if disturbances is not None:
-                nxt = nxt + disturbances[k]
-            states[k + 1] = nxt
+        X, _ = _batched(X0, model.n, "initial states")
+        states = np.zeros((horizon + 1,) + X.shape)
+        states[0] = X  # start from this C-ordered copy: G @ X's last bit follows X's layout
+        for k, (_, _, x, _) in enumerate(
+                _benchmark_steps(model, qp, cfg, states[0], horizon, 0, disturbances)):
+            states[k + 1] = x
         return states
 
     return evaluator

@@ -216,3 +216,51 @@ def test_zero_dimensional_schedule_is_a_scalar(pend):
     assert run.inputs.tobytes() == scalar.inputs.tobytes()
     with pytest.raises(T.NumericsError, match="iteration count must be an integer"):
         T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, np.array(2.5), 3, repeats=0)
+
+
+@pytest.mark.parametrize("horizon", [2.5, np.float64(3.0)])
+def test_horizon_must_be_integral(pend, horizon):
+    m, qp, cfg = pend.model, pend.qp, pend.cfg
+    for run in (lambda T_: T.run_benchmark(m, qp, cfg, pend.x0, T_, repeats=0),
+                lambda T_: T.run_tdmpc(m, qp, cfg, pend.x0, 3, T_, repeats=0)):
+        with pytest.raises(T.NumericsError, match="horizon T must be an integer"):
+            run(horizon)
+        assert run(np.int64(pend.T)).T == pend.T
+
+
+def test_truncate_csv_run(tmp_path, pend, pend_bench):
+    # CSV runs carry inputs = None; truncation passes None fields through
+    run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 4, 6, repeats=0)
+    for whole in (run, pend_bench):
+        T.write_run_csv(whole, tmp_path / "run.csv")
+        short = T.truncate_run(T.read_run_csv(tmp_path / "run.csv"), 3)
+        assert short.T == 3 and short.inputs is None and short.ell_schedule is None
+        assert np.array_equal(short.states, whole.states[:4])
+        assert np.array_equal(short.applied, whole.applied[:3])
+        assert (short.d_norms is None) == (whole.d_norms is None)
+        if whole.d_norms is not None:
+            assert np.array_equal(short.d_norms, whole.d_norms[:3])
+
+
+def test_run_csv_golden_text(tmp_path):
+    with_d = T.ClosedLoopRun(
+        np.array([[1.0, -0.0], [0.5, 1e-300], [2.0, -2.5]]), None,
+        np.array([[0.25], [-0.0]]), np.array([0.0, 2.0]),
+        d_norms=np.array([1e-300, 0.1 + 0.2]))
+    bench = T.ClosedLoopRun(
+        np.array([[-0.0], [1e-300], [2.0]]), None,
+        np.array([[2.0, -1e-300], [-0.0, 1.5e10]]), np.array([0.1, 0.0]))
+    T.write_run_csv(with_d, tmp_path / "with_d.csv")
+    T.write_run_csv(bench, tmp_path / "bench.csv")
+    assert (tmp_path / "with_d.csv").read_text() == (
+        "k,x_1,x_2,u_applied_1,norm_d_k,solve_time_s\n"
+        "0,1.0,-0.0,0.25,1e-300,0.0\n"
+        "1,0.5,1e-300,-0.0,0.30000000000000004,2.0\n"
+        "2,2.0,-2.5,,,\n"
+    )
+    assert (tmp_path / "bench.csv").read_text() == (
+        "k,x_1,u_applied_1,u_applied_2,solve_time_s\n"
+        "0,-0.0,2.0,-1e-300,0.1\n"
+        "1,1e-300,-0.0,15000000000.0,0.0\n"
+        "2,2.0,,,\n"
+    )

@@ -293,3 +293,12 @@ def test_evaluator_matches_benchmark_run(pend, pend_bench, pend_evaluator):
     states = pend_evaluator(pend.x0.reshape(2, 1), pend.T)
     assert states.shape == (pend.T + 1, 2, 1)
     assert np.linalg.norm(states[:, :, 0] - pend_bench.states) <= 1e-8
+
+
+def test_evaluator_runs_one_state_as_one_column(pend, pend_bench, pend_evaluator):
+    states = pend_evaluator(pend.x0, 4)
+    assert states.shape == (5, 2, 1)
+    assert states[:, :, 0].tobytes() == pend_bench.states[:5].tobytes()
+    for X0 in (0.0, np.zeros(3), np.zeros((1, 2)), np.zeros((3, 2))):
+        with pytest.raises(T.NumericsError, match="leading dimension"):
+            pend_evaluator(X0, 2)
