@@ -4,8 +4,9 @@ The benchmark loop applies the first block of the fully converged
 minimizer mu*(x_k) at every step.  The truncated loop applies ell_k
 projected gradient steps to the previous input sequence instead, so the
 applied input carries an optimizer error d_k = ||nu_k - mu*(x_k)|| that
-the suboptimality bounds track.  Each run records states, inputs, the
-per-step optimizer errors and wall-clock time of the iteration loop.
+the suboptimality bounds track.  Each run records states, inputs,
+wall-clock time of the iteration loop and, unless the caller opts out,
+the per-step optimizer errors.
 """
 
 import operator
@@ -23,9 +24,11 @@ class ClosedLoopRun:
     """Record of one closed-loop simulation.
 
     states has one more row than applied; d_norms, warm_gap_norms and
-    ell_schedule are None for benchmark runs, and inputs is None for runs
-    read from CSV.  An unstable run keeps the prefix up to and including
-    the first diverged state and sets aborted_at to its index.
+    ell_schedule are None for benchmark runs, d_norms and warm_gap_norms
+    are None for truncated runs made with optimizer_errors=False, and
+    inputs is None for runs read from CSV.  An unstable run keeps the
+    prefix up to and including the first diverged state and sets
+    aborted_at to its index.
     """
 
     states: np.ndarray
@@ -107,7 +110,8 @@ def run_benchmark(model, qp, cfg, x0, T, repeats=1):
                          np.array(times))
 
 
-def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
+def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1, *,
+              optimizer_errors=True):
     """Simulate T steps of the truncated loop with ell_k iterations per step.
 
     ell_schedule is a single positive integer or a length-T sequence.  The
@@ -115,7 +119,9 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     nu_init seeds the very first warm start (zero by default).  Each step
     also records the optimizer error d_k = ||nu_k - mu*(x_k)|| and the
     warm-start gap ||nu_{k-1} - mu*(x_k)||, both computed outside the
-    timed loop from an instrumentation solve.  A state whose norm exceeds
+    timed loop from an instrumentation solve; optimizer_errors=False skips
+    those per-step solves and records both as None.  delta_u0_norm needs
+    only mu*(x_0) and is always recorded.  A state whose norm exceeds
     1e6 * (1 + ||x0||) aborts the run and marks it unstable.
     """
     x0, T = _check_start(model, x0, T)
@@ -135,34 +141,35 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     inputs = np.zeros((T, nNu))
     applied = np.zeros((T, model.m))
     times = np.zeros(T)
-    d_norms = np.zeros(T)
-    warm_gaps = np.zeros(T)
+    d_norms = np.zeros(T) if optimizer_errors else None
+    warm_gaps = np.zeros(T) if optimizer_errors else None
     states[0] = x0
     if nu_init is None:
         nu = np.zeros(nNu)
     else:
         nu = qp.nu_box.project(np.asarray(nu_init, dtype=float).ravel().copy())
     blowup = 1e6 * (1.0 + float(np.linalg.norm(x0)))
-    mu0 = solve_benchmark(qp, cfg, x0, nu)
-    delta_u0 = float(np.linalg.norm(nu - mu0))
+    mu = solve_benchmark(qp, cfg, x0, nu)
+    delta_u0 = float(np.linalg.norm(nu - mu))
 
     stable = True
     aborted_at = None
     steps_done = 0
-    mu = mu0
     # untimed runs skip exact repeats of the orbit; timed runs time every step
     iterate = pgm_iterate if repeats else _pgm_iterate_untimed
     for k in range(T):
         xk = states[k]
-        if k > 0:
-            mu = solve_benchmark(qp, cfg, xk, nu)
-        warm_gaps[k] = np.linalg.norm(nu - mu)
+        if optimizer_errors:
+            if k > 0:
+                mu = solve_benchmark(qp, cfg, xk, nu)
+            warm_gaps[k] = np.linalg.norm(nu - mu)
         warm_start = nu
         ell = schedule[k]
         nu, times[k] = _timed_loop(
             lambda: iterate(qp, cfg, xk, warm_start, ell), repeats
         )
-        d_norms[k] = np.linalg.norm(nu - mu)
+        if optimizer_errors:
+            d_norms[k] = np.linalg.norm(nu - mu)
         inputs[k] = nu
         applied[k] = qp.S @ nu
         states[k + 1] = model.step(xk, applied[k])
@@ -173,9 +180,10 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
             break
 
     s = steps_done
+    if optimizer_errors:
+        d_norms, warm_gaps = d_norms[:s], warm_gaps[:s]
     return ClosedLoopRun(states[:s + 1], inputs[:s], applied[:s], times[:s],
-                         d_norms[:s], warm_gaps[:s], schedule[:s], delta_u0,
-                         stable, aborted_at)
+                         d_norms, warm_gaps, schedule[:s], delta_u0, stable, aborted_at)
 
 
 def cost_JT(run, Q, R, P):
@@ -205,13 +213,20 @@ def path_vectors(run):
 
 
 def truncate_run(run, T):
-    """Prefix of a run with T applied inputs; used to compare against a shorter run."""
+    """Prefix of a run with T applied inputs; used to compare against a shorter run.
+
+    A prefix that ends before the diverged state of an aborted run is
+    stable; one that includes that state keeps stable and aborted_at.
+    """
     if T > run.T:
         raise NumericsError(f"cannot truncate a {run.T}-step run to {T} steps")
     per_step = ("states", "inputs", "applied", "solve_times", "d_norms",
                 "warm_gap_norms", "ell_schedule")
-    return replace(run, **{f: v[:T + 1 if f == "states" else T] for f in per_step
-                           if (v := getattr(run, f)) is not None})
+    fields = {f: v[:T + 1 if f == "states" else T] for f in per_step
+              if (v := getattr(run, f)) is not None}
+    if run.aborted_at is not None and T < run.aborted_at:
+        fields.update(stable=True, aborted_at=None)
+    return replace(run, **fields)
 
 
 def write_run_csv(run, path):

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -369,3 +370,25 @@ def test_sweep_timing_changes_only_compute_time(tmp_path):
         assert untimed_row[timed] == "0.0" and float(timed_row[timed]) > 0.0
         del untimed_row[timed], timed_row[timed]
         assert untimed_row == timed_row
+
+
+def test_sweep_skips_per_step_reference_solves(tmp_path, monkeypatch):
+    # sweep.csv never reads d_k, so a sweep's truncated runs solve mu*(x_0)
+    # only; the second sweep reuses the saved fit, so every remaining solve
+    # is the certificates', the benchmark run's or a run's first step
+    conf = write_conf(tmp_path, extra="T = 3\nell_list = [3, 40]\n")
+    out = tmp_path / "counted"
+    assert cli.main(["--config", conf, "--out", str(out), "sweep"]) == 0
+    calls = []
+    solve = T.solve_benchmark
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tdmpc" and getattr(module, "solve_benchmark", None) is solve:
+            monkeypatch.setattr(module, "solve_benchmark", counting)
+    assert cli.main(["--config", conf, "--out", str(out), "sweep"]) == 0
+    # 12 with a reference solve at every step: len(ell_list) * (T - 1) fewer
+    assert len(calls) == 8

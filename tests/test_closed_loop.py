@@ -264,3 +264,75 @@ def test_run_csv_golden_text(tmp_path):
         "1,1e-300,-0.0,15000000000.0,0.0\n"
         "2,2.0,,,\n"
     )
+
+
+def _diverging_setup():
+    # the unstable scalar plant of test_divergence_guard_truncates_run
+    model = T.LtiModel([[2.0]], [[0.001]])
+    Q = np.array([[1.0]])
+    R = np.array([[1.0]])
+    P, K = T.solve_dare(model.A, model.B, Q, R)
+    qp = T.build_condensed(model, Q, R, P, 3, T.BoxSet([-1.0], [1.0]))
+    cfg = T.pgm_config(qp)
+    return model, qp, cfg, K
+
+
+def test_truncate_prefix_of_aborted_run():
+    # a prefix that ends before the diverged state is stable; one that
+    # includes it keeps stable and aborted_at
+    whole = T.ClosedLoopRun(
+        np.array([[1.0], [2.0], [4.0], [1e9]]), np.zeros((3, 2)), np.zeros((3, 1)),
+        np.zeros(3), np.ones(3), np.ones(3), [1, 1, 1], 1.0, False, 3)
+    for steps in (1, 2):
+        short = T.truncate_run(whole, steps)
+        assert short.T == steps and short.stable and short.aborted_at is None
+    short = T.truncate_run(whole, 3)
+    assert not short.stable and short.aborted_at == 3
+    model, qp, cfg, _ = _diverging_setup()
+    run = T.run_tdmpc(model, qp, cfg, np.array([1.0]), 1, 60, repeats=0)
+    assert T.truncate_run(run, run.T - 1).stable
+    assert T.truncate_run(run, run.T).aborted_at == run.T
+
+
+@pytest.mark.parametrize("case", ["constant", "mixed_optimal_init", "diverging"])
+def test_run_without_optimizer_errors_matches_default(tmp_path, pend, pend_certs,
+                                                      pend_bench, case):
+    # optimizer_errors=False drops the per-step reference solves and
+    # nothing else: every other field keeps its bytes, and so does the gap report
+    if case == "diverging":
+        model, qp, cfg, K = _diverging_setup()
+        certs = T.compute_certificates(model, qp, cfg, K)
+        x0, schedule, horizon, kwargs, bench = np.array([1.0]), 1, 60, {}, None
+    else:
+        model, qp, cfg, certs, x0 = pend.model, pend.qp, pend.cfg, pend_certs, pend.x0
+        if case == "constant":
+            schedule, horizon, kwargs = 6, pend.T, {}
+        else:
+            schedule, horizon = [5, 10, 1, 7], 4
+            kwargs = {"nu_init": T.solve_benchmark(qp, cfg, x0)}
+        bench = pend_bench
+    full = T.run_tdmpc(model, qp, cfg, x0, schedule, horizon, repeats=0, **kwargs)
+    lean = T.run_tdmpc(model, qp, cfg, x0, schedule, horizon, repeats=0,
+                       optimizer_errors=False, **kwargs)
+    assert full.stable == (case != "diverging")
+    for field in ("states", "inputs", "applied", "solve_times", "ell_schedule",
+                  "delta_u0_norm"):
+        a, b = getattr(full, field), getattr(lean, field)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
+    assert lean.ell_schedule == full.ell_schedule
+    assert (lean.stable, lean.aborted_at) == (full.stable, full.aborted_at)
+    assert full.d_norms is not None and full.warm_gap_norms is not None
+    assert lean.d_norms is None and lean.warm_gap_norms is None
+
+    T.write_run_csv(lean, tmp_path / "lean.csv")
+    assert "norm_d_k" not in (tmp_path / "lean.csv").read_text().splitlines()[0]
+    back = T.read_run_csv(tmp_path / "lean.csv")
+    assert back.d_norms is None
+    for field in ("states", "applied", "solve_times"):
+        assert getattr(back, field).tobytes() == getattr(lean, field).tobytes()
+
+    if bench is not None:
+        bench = T.truncate_run(bench, full.T)
+    reports = [T.build_gap_report(r, qp, certs, bench) for r in (full, lean)]
+    fields = [{k: repr(v) for k, v in vars(r).items()} for r in reports]
+    assert fields[0] == fields[1]
