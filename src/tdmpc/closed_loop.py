@@ -1,12 +1,12 @@
 """Closed-loop simulation of the plant under benchmark and truncated control.
 
-The benchmark loop applies the first block of the fully converged
-minimizer mu*(x_k) at every step.  The truncated loop applies ell_k
-projected gradient steps to the previous input sequence instead, so the
-applied input carries an optimizer error d_k = ||nu_k - mu*(x_k)|| that
-the suboptimality bounds track.  Each run records states, inputs,
-wall-clock time of the iteration loop and, unless the caller opts out,
-the per-step optimizer errors.
+Both loops step the plant under one policy each.  The benchmark policy
+applies the first block of the fully converged minimizer mu*(x_k); the
+truncated policy applies ell_k projected gradient steps to the previous
+input sequence, so the applied input carries an optimizer error
+d_k = ||nu_k - mu*(x_k)|| that the suboptimality bounds track.  Each run
+records states, inputs, wall-clock time of the policy and, unless the
+caller opts out, a truncated run's per-step optimizer errors.
 """
 
 import operator
@@ -83,23 +83,33 @@ def _check_start(model, x0, T):
     return x0, T
 
 
-def _benchmark_steps(model, qp, cfg, x, T, repeats, disturbances=None):
-    """The benchmark loop u_k = S mu*(x_k) from x of shape (n,) or (n, batch).
+def _steps(model, qp, x, T, repeats, policy, nu, disturbances=None):
+    """The closed loop u_k = S nu_k with nu_k = policy(k, x_k, nu_{k-1}).
 
-    Yields (mu_k, u_k, x_{k+1}, seconds) for k < T.  Each solve is
-    warm-started from the previous minimizer (zeros at k = 0) and timed
-    alone through _timed_loop; disturbances[k], when given, is added to
-    x_{k+1}.  run_benchmark, the probes' evaluator and the decay check
-    all step this one loop.
+    x has shape (n,) or (n, batch) and nu is nu_{-1}, the first warm
+    start.  Yields (nu_k, u_k, x_{k+1}, seconds) for k < T.  Each policy
+    call is timed alone through _timed_loop; disturbances[k], when given,
+    is added to x_{k+1}.  Both the benchmark and the truncated loop step
+    the plant here and nowhere else.
     """
-    mu = np.zeros(qp.H.shape[:1] + x.shape[1:])
     for k in range(T):
-        mu, seconds = _timed_loop(lambda: solve_benchmark(qp, cfg, x, mu), repeats)
-        u = qp.S @ mu
+        nu, seconds = _timed_loop(lambda: policy(k, x, nu), repeats)
+        u = qp.S @ nu
         x = model.step(x, u)
         if disturbances is not None:
             x = x + disturbances[k]
-        yield mu, u, x, seconds
+        yield nu, u, x, seconds
+
+
+def _benchmark_steps(model, qp, cfg, x, T, repeats, disturbances=None):
+    """_steps under the policy mu*(x_k), warm-started from mu*(x_{k-1}) (zeros at k = 0)."""
+    return _steps(model, qp, x, T, repeats, lambda k, x, mu: solve_benchmark(qp, cfg, x, mu),
+                  np.zeros(qp.H.shape[:1] + x.shape[1:]), disturbances)
+
+
+def _diverged(x, x0):
+    """The divergence guard ||x|| > 1e6 (1 + ||x0||) of a run from x0."""
+    return np.linalg.norm(x) > 1e6 * (1.0 + float(np.linalg.norm(x0)))
 
 
 def run_benchmark(model, qp, cfg, x0, T, repeats=1):
@@ -136,54 +146,34 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1, *,
     if any(e < 1 for e in schedule):
         raise NumericsError("iteration schedule entries must be >= 1")
 
-    n, nNu = model.n, qp.H.shape[0]
-    states = np.zeros((T + 1, n))
-    inputs = np.zeros((T, nNu))
-    applied = np.zeros((T, model.m))
-    times = np.zeros(T)
-    d_norms = np.zeros(T) if optimizer_errors else None
-    warm_gaps = np.zeros(T) if optimizer_errors else None
-    states[0] = x0
     if nu_init is None:
-        nu = np.zeros(nNu)
+        nu = np.zeros(qp.H.shape[0])
     else:
         nu = qp.nu_box.project(np.asarray(nu_init, dtype=float).ravel().copy())
-    blowup = 1e6 * (1.0 + float(np.linalg.norm(x0)))
     mu = solve_benchmark(qp, cfg, x0, nu)
     delta_u0 = float(np.linalg.norm(nu - mu))
 
-    stable = True
-    aborted_at = None
-    steps_done = 0
     # untimed runs skip exact repeats of the orbit; timed runs time every step
     iterate = pgm_iterate if repeats else _pgm_iterate_untimed
-    for k in range(T):
-        xk = states[k]
+    loop = _steps(model, qp, x0, T, repeats,
+                  lambda k, x, nu: iterate(qp, cfg, x, nu, schedule[k]), nu)
+    steps, errors, x, stable = [], [], x0, True
+    for step in loop:
         if optimizer_errors:
-            if k > 0:
-                mu = solve_benchmark(qp, cfg, xk, nu)
-            warm_gaps[k] = np.linalg.norm(nu - mu)
-        warm_start = nu
-        ell = schedule[k]
-        nu, times[k] = _timed_loop(
-            lambda: iterate(qp, cfg, xk, warm_start, ell), repeats
-        )
-        if optimizer_errors:
-            d_norms[k] = np.linalg.norm(nu - mu)
-        inputs[k] = nu
-        applied[k] = qp.S @ nu
-        states[k + 1] = model.step(xk, applied[k])
-        steps_done = k + 1
-        if np.linalg.norm(states[k + 1]) > blowup:
+            if steps:
+                mu = solve_benchmark(qp, cfg, x, nu)
+            errors.append((np.linalg.norm(nu - mu), np.linalg.norm(step[0] - mu)))
+        steps.append(step)
+        nu, _, x, _ = step
+        if _diverged(x, x0):
             stable = False
-            aborted_at = k + 1
             break
 
-    s = steps_done
-    if optimizer_errors:
-        d_norms, warm_gaps = d_norms[:s], warm_gaps[:s]
-    return ClosedLoopRun(states[:s + 1], inputs[:s], applied[:s], times[:s],
-                         d_norms, warm_gaps, schedule[:s], delta_u0, stable, aborted_at)
+    inputs, applied, states, times = zip(*steps)
+    warm_gaps, d_norms = map(np.array, zip(*errors)) if optimizer_errors else (None, None)
+    return ClosedLoopRun(np.array((x0,) + states), np.array(inputs), np.array(applied),
+                         np.array(times), d_norms, warm_gaps, schedule[:len(steps)],
+                         delta_u0, stable, None if stable else len(steps))
 
 
 def cost_JT(run, Q, R, P):
@@ -251,14 +241,17 @@ def read_run_csv(path):
 
     Only states, applied inputs, optimizer errors and solve times survive a
     round trip; full input sequences and the iteration schedule are not
-    stored in the CSV.
+    stored in the CSV.  The divergence guard stops a run at its first
+    diverged state, so a last state that trips the guard against the
+    first marks the run unstable and aborted at its last step.
     """
     with open(path) as fh:
         header, *rows = [ln.strip().split(",") for ln in fh if ln.strip()]
     table = np.array([[float(v) if v else np.nan for v in row] for row in rows])
     n = sum(1 for h in header if h.startswith("x_"))
     m = sum(1 for h in header if h.startswith("u_applied_"))
-    steps = table[:-1]
+    states, steps = table[:, 1:1 + n].copy(), table[:-1]
     d_norms = steps[:, header.index("norm_d_k")].copy() if "norm_d_k" in header else None
-    return ClosedLoopRun(table[:, 1:1 + n].copy(), None, steps[:, 1 + n:1 + n + m].copy(),
-                         steps[:, -1].copy(), d_norms)
+    stable = not _diverged(states[-1], states[0])
+    return ClosedLoopRun(states, None, steps[:, 1 + n:1 + n + m].copy(), steps[:, -1].copy(),
+                         d_norms, stable=stable, aborted_at=None if stable else steps.shape[0])

@@ -7,12 +7,11 @@ eta_tilde_{T-1} = rho_{T-1}, eta_tilde_k = rho_k (1 + eta_tilde_{k+1}),
 and the cumulative policy error is bounded by
 
     sum_k ||d_k|| <= eta_tilde_0 ||delta u_0||
-                     + sum_{k=1}^{T-1} (a_k + L * Delta_k) eta_tilde_k
+                     + sum_{k=1}^{T-1} L * Delta_k * eta_tilde_k
 
-where Delta_k = ||x_k - x_{k-1}|| is the realized state motion and a_k
-an optional exogenous drift term.  Multiplying by the cost Lipschitz
-constant M_bar turns this into a bound on the cost gap
-R_T = J_T(truncated) - J_T(benchmark).
+where Delta_k = ||x_k - x_{k-1}|| is the realized state motion.
+Multiplying by the cost Lipschitz constant M_bar turns this into a bound
+on the cost gap R_T = J_T(truncated) - J_T(benchmark).
 """
 
 from dataclasses import dataclass
@@ -84,14 +83,14 @@ def empirical_gap(run_sub, run_bench, Q, R, P):
     return cost_JT(run_sub, Q, R, P) - cost_JT(run_bench, Q, R, P)
 
 
-def chain_bound(rv, L, deltas, delta_u0_norm, a=None):
+def chain_bound(rv, L, deltas, delta_u0_norm):
     """Cumulative policy-error bound implied by the compounded rates.
 
     deltas carries the realized per-step state motion of the same run
-    (at least T-1 entries); a is the optional exogenous drift sequence of
-    length T-1.  The bound holds for any trajectory of the loop, stable
-    or not, because it only uses the per-step contraction of the
-    optimizer and the Lipschitz dependence of the minimizer on the state.
+    (at least T-1 entries).  The bound holds for any trajectory of the
+    loop, stable or not, because it only uses the per-step contraction of
+    the optimizer and the Lipschitz dependence of the minimizer on the
+    state.
     """
     T = rv.T
     deltas = np.asarray(deltas, dtype=float).ravel()
@@ -99,23 +98,17 @@ def chain_bound(rv, L, deltas, delta_u0_norm, a=None):
         raise NumericsError(
             f"need at least {T - 1} state-motion entries, got {deltas.size}"
         )
-    if a is None:
-        a = np.zeros(max(T - 1, 0))
-    else:
-        a = np.asarray(a, dtype=float).ravel()
-        if a.size != T - 1:
-            raise NumericsError(f"drift sequence has length {a.size}, expected {T - 1}")
     total = rv.tilde[0] * float(delta_u0_norm)
     if T > 1:
-        total += float(np.sum((a + L * deltas[:T - 1]) * rv.tilde[1:]))
+        total += float(np.sum(L * deltas[:T - 1] * rv.tilde[1:]))
     return total
 
 
-def complexity_term(rate, S_T, a_l1=0.0):
-    """Pathlength complexity rate/(1-rate) * (S_T + ||a||_1) for a constant rate."""
+def complexity_term(rate, S_T):
+    """Pathlength complexity rate/(1-rate) * S_T for a constant rate."""
     if not 0.0 <= rate < 1.0:
         raise NumericsError(f"rate must lie in [0, 1), got {rate}")
-    return rate / (1.0 - rate) * (S_T + a_l1)
+    return rate / (1.0 - rate) * S_T
 
 
 @dataclass

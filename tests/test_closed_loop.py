@@ -336,3 +336,37 @@ def test_run_without_optimizer_errors_matches_default(tmp_path, pend, pend_certs
     reports = [T.build_gap_report(r, qp, certs, bench) for r in (full, lean)]
     fields = [{k: repr(v) for k, v in vars(r).items()} for r in reports]
     assert fields[0] == fields[1]
+
+
+@pytest.mark.parametrize("repeats", [0, 1])
+def test_csv_round_trip_keeps_divergence(tmp_path, repeats):
+    # the guard stops a run at its first diverged state, the last row of its CSV
+    model, qp, cfg, _ = _diverging_setup()
+    run = T.run_tdmpc(model, qp, cfg, np.array([1.0]), 1, 60, repeats=repeats)
+    assert not run.stable and run.aborted_at == run.T
+    T.write_run_csv(run, tmp_path / "run.csv")
+    back = T.read_run_csv(tmp_path / "run.csv")
+    assert (back.stable, back.aborted_at) == (run.stable, run.aborted_at)
+    assert back.states.tobytes() == run.states.tobytes()
+    T.write_run_csv(T.truncate_run(run, run.T - 1), tmp_path / "prefix.csv")
+    back = T.read_run_csv(tmp_path / "prefix.csv")
+    assert back.stable and back.aborted_at is None
+
+
+@pytest.mark.parametrize("case", ["constant", "converged", "mixed", "diverging"])
+def test_timed_and_untimed_policies_give_the_same_run(pend, case):
+    # repeats = 1 steps pgm_iterate and repeats = 0 the orbit-skipping
+    # iterate through the same loop; every recorded field keeps its bytes
+    model, qp, cfg, x0 = pend.model, pend.qp, pend.cfg, pend.x0
+    schedule, horizon = {"constant": (6, pend.T), "converged": (2300, pend.T),
+                         "mixed": ([5, 130, 1, 61] * 5, 20), "diverging": (1, 60)}[case]
+    if case == "diverging":
+        model, qp, cfg, _ = _diverging_setup()
+        x0 = np.array([1.0])
+    timed, untimed = (T.run_tdmpc(model, qp, cfg, x0, schedule, horizon, repeats=r)
+                      for r in (1, 0))
+    for field in ("states", "inputs", "applied", "d_norms", "warm_gap_norms"):
+        assert getattr(timed, field).tobytes() == getattr(untimed, field).tobytes(), field
+    assert timed.ell_schedule == untimed.ell_schedule
+    assert (timed.stable, timed.aborted_at) == (untimed.stable, untimed.aborted_at)
+    assert timed.stable == (case != "diverging")

@@ -96,8 +96,6 @@ def test_chain_bound_three_step_hand_case():
     total = T.chain_bound(rv, L=1.0, deltas=deltas, delta_u0_norm=1.0)
     # 0.875 * 1 + (0 + 1*1) * 0.75 + (0 + 1*1) * 0.5
     assert total == pytest.approx(2.125, rel=1e-14)
-    with_a = T.chain_bound(rv, 1.0, deltas, 1.0, a=np.array([0.5, 0.5]))
-    assert with_a == pytest.approx(2.125 + 0.5 * 0.75 + 0.5 * 0.5, rel=1e-14)
     assert 2.0 * T.chain_bound(rv, 1.0, deltas, 1.0) == pytest.approx(2.0 * 2.125, rel=1e-14)
 
 
@@ -122,7 +120,6 @@ def test_chain_bound_zero_rates_keeps_first_term():
 def test_complexity_term_examples():
     assert T.complexity_term(0.0, 3.0) == 0.0
     assert T.complexity_term(0.5, 3.0) == pytest.approx(3.0, rel=1e-14)
-    assert T.complexity_term(0.5, 3.0, a_l1=1.0) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_complexity_dominates_chain_inner_product():
