@@ -52,10 +52,8 @@ def psi_value(qp, cfg, x, nu_star=None):
     """psi(x) = sqrt(J_N*(x)); accepts batched x, solves for mu*(x) if needed."""
     if nu_star is None:
         nu_star = solve_benchmark(qp, cfg, x)
-    J = cost(qp, x, nu_star)
-    return math.sqrt(max(J, 0.0)) if np.isscalar(J) or np.ndim(J) == 0 else np.sqrt(
-        np.maximum(J, 0.0)
-    )
+    psi = np.sqrt(np.maximum(cost(qp, x, nu_star), 0.0))
+    return float(psi) if psi.ndim == 0 else psi
 
 
 def sample_gamma(qp, cfg, r_N, rng, count):
@@ -108,13 +106,16 @@ def check_psi_decay(model, qp, cfg, beta, r_N, rng, samples=500):
     return worst
 
 
-def terminal_level_c(P, K, u_box, cap=1e12):
+_LEVEL_CAP = 1e12
+
+
+def terminal_level_c(P, K, u_box):
     """Largest c with {x : ||x||_P^2 <= c} inside the unsaturated region of u = -Kx.
 
     For each input row, |K_i x| over the ellipsoid is sqrt((K P^{-1} K')_ii),
     so the binding level is u_i^2 / (K P^{-1} K')_ii with u_i the smaller of
     the two bound magnitudes.  Rows with a vanishing gain never bind; if no
-    row binds the level is capped at `cap`.
+    row binds the level is capped at 1e12.
     """
     P = np.asarray(P, dtype=float)
     K = np.asarray(K, dtype=float)
@@ -122,21 +123,19 @@ def terminal_level_c(P, K, u_box, cap=1e12):
     KP = K @ Pm
     diag = (KP ** 2).sum(axis=1)
     u = np.minimum(np.abs(u_box.lower), np.abs(u_box.upper))
-    c = cap
-    for i in range(K.shape[0]):
-        if diag[i] > 1e-300:
-            c = min(c, u[i] ** 2 / diag[i])
-    return float(min(c, cap))
+    binds = diag > 1e-300
+    # libm pow, as the scalar u_i ** 2 was; an array's u ** 2 is u * u (last bits differ)
+    return float(np.min(np.float_power(u[binds], 2) / diag[binds], initial=_LEVEL_CAP))
 
 
-def region_radius(qp, K, cap=1e12):
+def region_radius(qp, K):
     """Region constants (c, d, r_N) for the horizon-N feasible sublevel set.
 
     c is the terminal level, d = c * lam_min(Q) / lam_max(P) is the
     per-stage cost margin, and r_N = sqrt(N d + c) is the radius of the
     psi-sublevel set on which all certificates hold.
     """
-    c = terminal_level_c(qp.P, K, qp.u_box, cap)
+    c = terminal_level_c(qp.P, K, qp.u_box)
     d = c * sym_eig(qp.Q, "Q").min / sym_eig(qp.P, "P").max
     r_N = math.sqrt(qp.N * d + c)
     return c, d, r_N

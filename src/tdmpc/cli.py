@@ -248,6 +248,10 @@ def build_model(conf):
         raise ConfigError(
             f"configuration keys 'u_min'/'u_max' have {box.dim} entries, expected {model.m}"
         )
+    if conf["x0"].size != model.n:
+        raise ConfigError(
+            f"configuration key 'x0' has {conf['x0'].size} entries, expected {model.n}"
+        )
     P, K = solve_dare(model.A, model.B, Q, R)
     return model, Q, R, box, P, K
 
@@ -264,14 +268,6 @@ def default_ell_list():
     """30 logarithmically spaced iteration budgets between 1 and 5000."""
     pts = np.unique(np.round(np.logspace(0.0, math.log10(5000.0), 30)).astype(int))
     return [int(e) for e in pts]
-
-
-def _closed_loop_inputs(conf, model):
-    """Initial state, horizon T and timing repeats per step (0 disables timing)."""
-    x0 = conf["x0"]
-    if x0.size != model.n:
-        raise ConfigError(f"configuration key 'x0' has {x0.size} entries, expected {model.n}")
-    return x0, conf["T"], conf["repeats"]
 
 
 def _write_lines(path, lines):
@@ -302,10 +298,10 @@ def _saved_fit(out_dir):
 
 
 def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs_r_N, rng):
-    """Reuse a fit report from the output directory or compute a fresh one."""
+    """Reuse a fit report from the output directory or compute and write a fresh one."""
     fit, path = _saved_fit(out_dir)
     if fit is not None:
-        return fit, path
+        return fit
     evaluator = make_benchmark_evaluator(model, qp, cfg)
     sampler = _gamma_sampler(qp, cfg, certs_r_N)
     # a checked r_w is > 0, so only an absent one takes the default
@@ -315,7 +311,8 @@ def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs_r_N, rng):
         horizon=conf["ediss_horizon"], holdout_pairs=conf["ediss_holdout"],
     )
     _write_lines(path, fit.to_lines())
-    return fit, path
+    print(f"wrote {path}")
+    return fit
 
 
 def cmd_constants(conf, out_dir):
@@ -333,7 +330,7 @@ def cmd_probe(conf, out_dir):
     rng = np.random.default_rng(conf["seed"])
     model, qp, cfg, K = build_setup(conf)
     certs = compute_certificates(model, qp, cfg, K)
-    fit, fit_path = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
+    fit = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
     sampler = _gamma_sampler(qp, cfg, certs.r_N)
     worst = audit_contraction(
         qp, cfg, sampler, rng,
@@ -343,7 +340,6 @@ def cmd_probe(conf, out_dir):
         make_benchmark_evaluator(model, qp, cfg), sampler, rng,
         N_V=conf["lyap_nv"], samples=conf["lyap_samples"], fit_horizon=conf["ediss_horizon"],
     )
-    print(f"wrote {fit_path}")
     _report(os.path.join(out_dir, "probe_report.txt"),
             fit.to_lines() + kv_lines([("contraction_worst", worst)]) + lyap.to_lines())
     if not lyap.passed:
@@ -358,7 +354,7 @@ def cmd_run(conf, out_dir, target):
             f"run target must be an iteration budget >= 1 or 'benchmark', got {target!r}"
         )
     model, qp, cfg, K = build_setup(conf)
-    x0, T, repeats = _closed_loop_inputs(conf, model)
+    x0, T, repeats = conf["x0"], conf["T"], conf["repeats"]
     if target == "benchmark":
         run = run_benchmark(model, qp, cfg, x0, T, repeats=repeats)
         name = "run_benchmark.csv"
@@ -378,14 +374,15 @@ def cmd_run(conf, out_dir, target):
 def cmd_sweep(conf, out_dir, svg=False):
     rng = np.random.default_rng(conf["seed"])
     model, qp, cfg, K = build_setup(conf)
-    x0, T, repeats = _closed_loop_inputs(conf, model)
+    x0, T, repeats = conf["x0"], conf["T"], conf["repeats"]
     ells = conf["ell_list"] or default_ell_list()
     # the decay check draws from rng before the fit does
     certs = compute_certificates(model, qp, cfg, K, rng=rng, psi_samples=conf["psi_samples"])
-    fit, _ = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
+    fit = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
     certs = replace(certs, M_bar=stage_cost_lipschitz(qp, certs.r_N, fit)[2], ediss=fit)
 
-    bench = run_benchmark(model, qp, cfg, x0, T, repeats=repeats)
+    # sweep.csv reads the benchmark's states, never its solve times
+    bench = run_benchmark(model, qp, cfg, x0, T, repeats=0)
     nu0 = solve_benchmark(qp, cfg, x0) if conf["nu_init"] == "optimal" else None
     rows = ["ell,eta_pow_ell,R_T_empirical,complexity_cor1,bound_thm8,"
             "S_T,S_T2,compute_time_s,stable_flag"]
@@ -447,6 +444,13 @@ def cmd_calibrate_n(conf, out_dir):
     return 0
 
 
+def _log_axis(values, start, end):
+    """Decades k0..k1 (at least one) spanning values > 0 and the map 10^k0..10^k1 -> start..end."""
+    k0 = math.floor(math.log10(min(values)))
+    k1 = max(math.ceil(math.log10(max(values))), k0 + 1)
+    return range(k0, k1 + 1), lambda v: start + (math.log10(v) - k0) / (k1 - k0) * (end - start)
+
+
 def svg_line_plot(path, series, xlabel, ylabel):
     """Minimal self-contained log-log line plot.
 
@@ -466,20 +470,9 @@ def svg_line_plot(path, series, xlabel, ylabel):
         f'<rect width="{W}" height="{H}" fill="white"/>',
     ]
     if pts:
-        lx0 = math.floor(math.log10(min(p[0] for p in pts)))
-        lx1 = math.ceil(math.log10(max(p[0] for p in pts)))
-        ly0 = math.floor(math.log10(min(p[1] for p in pts)))
-        ly1 = math.ceil(math.log10(max(p[1] for p in pts)))
-        lx1 = max(lx1, lx0 + 1)
-        ly1 = max(ly1, ly0 + 1)
-
-        def px(x):
-            return ml + (math.log10(x) - lx0) / (lx1 - lx0) * (W - ml - mr)
-
-        def py(y):
-            return H - mb - (math.log10(y) - ly0) / (ly1 - ly0) * (H - mt - mb)
-
-        for k in range(lx0, lx1 + 1):
+        xdecades, px = _log_axis([p[0] for p in pts], ml, W - mr)
+        ydecades, py = _log_axis([p[1] for p in pts], H - mb, mt)
+        for k in xdecades:
             x = px(10.0 ** k)
             parts.append(
                 f'<line x1="{x:.1f}" y1="{mt}" x2="{x:.1f}" y2="{H - mb}" '
@@ -489,7 +482,7 @@ def svg_line_plot(path, series, xlabel, ylabel):
                 f'<text x="{x:.1f}" y="{H - mb + 18}" font-size="12" '
                 f'text-anchor="middle">1e{k}</text>'
             )
-        for k in range(ly0, ly1 + 1):
+        for k in ydecades:
             y = py(10.0 ** k)
             parts.append(
                 f'<line x1="{ml}" y1="{y:.1f}" x2="{W - mr}" y2="{y:.1f}" '

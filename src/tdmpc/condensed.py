@@ -12,7 +12,7 @@ and the closed-loop input applied to the plant is the first block S nu.
 
 import numpy as np
 
-from .numerics import NumericsError, _as_matrix, sym_eig
+from .numerics import NumericsError, _as_matrix, _spd_eig
 
 
 class CondensedQp:
@@ -57,10 +57,8 @@ def build_condensed(model, Q, R, P, N, u_box):
         raise NumericsError(f"R has shape {R.shape}, expected {(m, m)}")
     if P.shape != (n, n):
         raise NumericsError(f"P has shape {P.shape}, expected {(n, n)}")
-    if sym_eig(Q, "Q").min <= 0.0:
-        raise NumericsError("Q must be positive definite")
-    if sym_eig(R, "R").min <= 0.0:
-        raise NumericsError("R must be positive definite")
+    _spd_eig(Q, "Q")
+    _spd_eig(R, "R")
     if u_box.dim != m:
         raise NumericsError(f"input box has dimension {u_box.dim}, expected {m}")
 

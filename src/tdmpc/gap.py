@@ -20,6 +20,7 @@ import numpy as np
 
 from .closed_loop import cost_JT, path_vectors
 from .numerics import NumericsError
+from .pgm import _iteration_count
 from .report import field_pairs, kv_lines
 
 
@@ -58,11 +59,15 @@ def eta_tilde(rates):
 
 
 def eta_tilde_mpc(eta, ell_schedule):
-    """Compounded weights when step k runs ell_k optimizer iterations."""
-    ells = np.asarray(ell_schedule, dtype=int).ravel()
-    if np.any(ells < 1):
+    """Compounded weights when step k runs ell_k optimizer iterations.
+
+    Each ell_k must be an integer >= 1.  It enters as a float exponent, so
+    a budget past the int64 range still has its rate.
+    """
+    ells = [_iteration_count(ell) for ell in ell_schedule]
+    if any(ell < 1 for ell in ells):
         raise NumericsError("iteration schedule entries must be >= 1")
-    return eta_tilde(float(eta) ** ells)
+    return eta_tilde(float(eta) ** np.asarray(ells, dtype=float))
 
 
 def empirical_gap(run_sub, run_bench, Q, R, P):

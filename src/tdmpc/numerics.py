@@ -61,6 +61,14 @@ def sym_eig(S, name="matrix"):
     return SymEig(w, V)
 
 
+def _spd_eig(S, name):
+    """sym_eig(S, name), raising NumericsError unless S is positive definite."""
+    e = sym_eig(S, name)
+    if e.min <= 0.0:
+        raise NumericsError(f"{name} is not positive definite: min eigenvalue {e.min:.3e}")
+    return e
+
+
 def spectral_norm(X):
     """Largest singular value of a (possibly non-square) matrix."""
     X = _as_matrix(X)
@@ -77,22 +85,14 @@ def spectral_radius(X):
 
 def mat_sqrt(S, name="matrix"):
     """Symmetric square root of a symmetric positive definite matrix."""
-    e = sym_eig(S, name)
-    if e.min <= 0.0:
-        raise NumericsError(
-            f"{name} is not positive definite: min eigenvalue {e.min:.3e}"
-        )
+    e = _spd_eig(S, name)
     V = e.eigenvectors
     return (V * np.sqrt(e.eigenvalues)) @ V.T
 
 
 def mat_inv_sqrt(S, name="matrix"):
     """Inverse symmetric square root of a symmetric positive definite matrix."""
-    e = sym_eig(S, name)
-    if e.min <= 0.0:
-        raise NumericsError(
-            f"{name} is not positive definite: min eigenvalue {e.min:.3e}"
-        )
+    e = _spd_eig(S, name)
     V = e.eigenvectors
     return (V / np.sqrt(e.eigenvalues)) @ V.T
 
@@ -106,20 +106,20 @@ def weighted_extremes(S, M, s_name="matrix", m_name="weight"):
     require S positive definite here because every caller uses it that way.
     """
     Em = mat_inv_sqrt(M, m_name)
-    eS = sym_eig(S, s_name)
-    if eS.min <= 0.0:
-        raise NumericsError(
-            f"{s_name} is not positive definite: min eigenvalue {eS.min:.3e}"
-        )
+    _spd_eig(S, s_name)
     e = sym_eig(Em @ np.asarray(S, dtype=float) @ Em, s_name)
     return e.min, e.max
 
 
-def solve_dare(A, B, Q, R, tol=1e-12, max_iter=10**6):
+_DARE_TOL = 1e-12
+_DARE_MAX_ITER = 10**6
+
+
+def solve_dare(A, B, Q, R):
     """Stabilizing solution of the discrete-time algebraic Riccati equation.
 
     Iterates the Riccati map P <- Q + A'PA - A'PB (R + B'PB)^{-1} B'PA
-    from P = Q until the relative change drops below tol.  Returns (P, K)
+    from P = Q until the relative change drops below 1e-12.  Returns (P, K)
     with the state feedback gain K = (R + B'PB)^{-1} B'PA, after verifying
     the fixed-point residual is below 1e-9 * ||P|| and that A - BK is
     Schur stable.
@@ -135,8 +135,7 @@ def solve_dare(A, B, Q, R, tol=1e-12, max_iter=10**6):
         raise NumericsError(f"B has {B.shape[0]} rows, expected {n}")
     if sym_eig(Q, "Q").min < 0.0:
         raise NumericsError("Q must be positive semidefinite")
-    if sym_eig(R, "R").min <= 0.0:
-        raise NumericsError("R must be positive definite")
+    _spd_eig(R, "R")
 
     def riccati_map(P):
         BPA = B.T @ P @ A
@@ -144,7 +143,7 @@ def solve_dare(A, B, Q, R, tol=1e-12, max_iter=10**6):
 
     P = Q.copy()
     history = []
-    for _ in range(max_iter):
+    for _ in range(_DARE_MAX_ITER):
         P_next = riccati_map(P)
         P_next = 0.5 * (P_next + P_next.T)
         with np.errstate(over="ignore"):
@@ -153,12 +152,12 @@ def solve_dare(A, B, Q, R, tol=1e-12, max_iter=10**6):
         history.append(change)
         if not np.isfinite(change):  # P starts finite, so this covers P too
             raise NumericsError("Riccati iteration diverged (non-finite change)")
-        if change <= tol * max(1.0, np.linalg.norm(P)):
+        if change <= _DARE_TOL * max(1.0, np.linalg.norm(P)):
             break
     else:
         raise NumericsError(
             "Riccati iteration did not converge within "
-            f"{max_iter} steps (last changes {[f'{c:.3e}' for c in history[-5:]]})"
+            f"{_DARE_MAX_ITER} steps (last changes {[f'{c:.3e}' for c in history[-5:]]})"
         )
 
     K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)

@@ -18,7 +18,7 @@ import operator
 import numpy as np
 
 from .condensed import _batched, _batched_pair
-from .numerics import NumericsError, sym_eig
+from .numerics import NumericsError, _spd_eig
 
 
 class BenchmarkSolveError(Exception):
@@ -42,10 +42,8 @@ class PgmConfig:
 
 def pgm_config(qp, tol_benchmark=1e-12, iter_cap=10**6):
     """Derive the step size and contraction factor from the Hessian spectrum."""
-    e = sym_eig(qp.H, "H")
+    e = _spd_eig(qp.H, "H")
     lam_min, lam_max = e.min, e.max
-    if lam_min <= 0.0:
-        raise NumericsError(f"H must be positive definite, min eigenvalue {lam_min:.3e}")
     alpha = 1.0 / (lam_max + lam_min)
     eta = (lam_max - lam_min) / (lam_max + lam_min)
     if tol_benchmark <= 0.0:
@@ -123,13 +121,6 @@ def _iteration_count(ell):
         raise NumericsError(f"iteration count must be an integer, got {ell!r}") from None
 
 
-def pgm_step(qp, cfg, x, nu):
-    """One projected gradient step on nu at parameter x; batched like cost."""
-    X, V, squeeze = _batched_pair(qp, x, nu)
-    out = _pgm_steps(qp, cfg, qp.G @ X, V, 1)
-    return out[:, 0] if squeeze else out
-
-
 def pgm_iterate(qp, cfg, x, nu, ell):
     """Apply ell projected gradient steps; ell = 0 returns a copy of nu."""
     ell = _iteration_count(ell)
@@ -138,6 +129,11 @@ def pgm_iterate(qp, cfg, x, nu, ell):
     X, V, squeeze = _batched_pair(qp, x, nu)
     out = _pgm_steps(qp, cfg, qp.G @ X, V, ell)
     return out[:, 0] if squeeze else out
+
+
+def pgm_step(qp, cfg, x, nu):
+    """One projected gradient step on nu at parameter x; batched like cost."""
+    return pgm_iterate(qp, cfg, x, nu, 1)
 
 
 def _warm_start(qp, X, nu0):

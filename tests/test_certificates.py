@@ -65,6 +65,19 @@ def test_psi_value_sandwich(pend, pend_certs):
     assert np.all(psi <= high + 1e-9)
 
 
+def test_psi_value_of_one_state_is_a_float_column(pend, pend_certs):
+    X = T.sample_gamma(pend.qp, pend.cfg, pend_certs.r_N, np.random.default_rng(35), 4)
+    NU = T.solve_benchmark(pend.qp, pend.cfg, X)
+    batch = T.psi_value(pend.qp, pend.cfg, X, NU)
+    for j in range(X.shape[1]):
+        one = T.psi_value(pend.qp, pend.cfg, X[:, j], NU[:, j])
+        assert type(one) is float
+        # a one-column batch runs the same products as one state
+        column = T.psi_value(pend.qp, pend.cfg, X[:, j:j + 1], NU[:, j:j + 1])
+        assert column.shape == (1,) and np.float64(one).tobytes() == column.tobytes()
+        assert one == pytest.approx(batch[j], rel=1e-12)
+
+
 def test_sample_gamma_stays_in_level_set(pend, pend_certs):
     rng = np.random.default_rng(32)
     X = T.sample_gamma(pend.qp, pend.cfg, pend_certs.r_N, rng, 200)
@@ -100,6 +113,16 @@ def test_terminal_level_scalar_cases():
     c1 = T.terminal_level_c([[2.0]], [[0.7]], box1)
     c2 = T.terminal_level_c([[2.0]], [[0.7]], T.BoxSet([-2.0], [2.0]))
     assert c2 == pytest.approx(4.0 * c1, rel=1e-12)
+
+
+def test_terminal_level_two_input_rows():
+    box = T.BoxSet([-1.0, -2.0], [1.0, 3.0])  # bound magnitudes 1 and 2
+    # a zero row never binds (and divides by nothing): the other row's 2^2 / 2^2
+    assert T.terminal_level_c([[1.0]], [[0.0], [2.0]], box) == 1.0
+    assert T.terminal_level_c([[1.0]], [[2.0], [0.0]], box) == 0.25
+    # of two binding rows the smaller quotient wins, whichever row it is
+    assert T.terminal_level_c([[1.0]], [[1.0], [1.0]], box) == 1.0   # 1 / 1 against 4 / 1
+    assert T.terminal_level_c([[1.0]], [[1.0], [4.0]], box) == 0.25  # 1 / 1 against 4 / 16
 
 
 def test_region_radius_composition(pend, pend_certs):

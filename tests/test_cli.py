@@ -12,6 +12,7 @@ import pytest
 
 import tdmpc as T
 import tdmpc.cli as cli
+import tdmpc.closed_loop
 
 # small but complete pendulum configuration for fast end-to-end checks
 BASE = """\
@@ -392,3 +393,66 @@ def test_sweep_skips_per_step_reference_solves(tmp_path, monkeypatch):
     assert cli.main(["--config", conf, "--out", str(out), "sweep"]) == 0
     # 12 with a reference solve at every step: len(ell_list) * (T - 1) fewer
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize("verbs", [["constants"], ["calibrate-N"], ["probe"], ["sweep"],
+                                   ["run", "6"], ["run", "benchmark"]], ids=" ".join)
+def test_wrong_length_x0_exits_1_on_every_verb(tmp_path, capsys, verbs):
+    conf = write_conf(tmp_path, extra="x0 = [0.1, 0.2, 0.3]\n")
+    assert cli.main(["--config", conf, "--out", str(tmp_path / "out"), *verbs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "'x0' has 3 entries, expected 2" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_sweep_runs_a_budget_past_int64(tmp_path):
+    # the untimed kernel skips the orbit's repeats, and the rates take the
+    # budget as a float exponent
+    conf = write_conf(tmp_path, extra="T = 5\nell_list = [1e20]\n")
+    out = tmp_path / "huge"
+    assert cli.main(["--config", conf, "--out", str(out), "sweep"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith(f"{10**20},0.0,")
+
+
+def test_fit_wrote_line_only_when_the_fit_is_written(tmp_path, capsys):
+    conf = write_conf(tmp_path)
+    out = tmp_path / "fit"
+    fit = out / "ediss_fit.txt"
+    assert cli.main(["--config", conf, "--out", str(out), "probe"]) == 0
+    assert f"wrote {fit}" in capsys.readouterr().out.splitlines()
+    fit_bytes = fit.read_bytes()
+    # a second probe reuses the fit: it neither rewrites nor reports it
+    assert cli.main(["--config", conf, "--out", str(out), "probe"]) == 0
+    assert "ediss_fit.txt" not in capsys.readouterr().out
+    assert fit.read_bytes() == fit_bytes
+    # a sweep into an empty directory fits on the fly and says so
+    fresh = tmp_path / "fresh"
+    assert cli.main(["--config", conf, "--out", str(fresh), "sweep"]) == 0
+    assert f"wrote {fresh / 'ediss_fit.txt'}" in capsys.readouterr().out.splitlines()
+
+
+def test_sweep_benchmark_run_solves_each_step_once(tmp_path, monkeypatch):
+    # sweep.csv reads the benchmark run's states, never its solve times, so
+    # the run makes T reference solves whatever `repeats` is
+    conf = write_conf(tmp_path, extra="T = 4\nell_list = [3]\n")
+    solve, bench = tdmpc.closed_loop.solve_benchmark, cli.run_benchmark
+    counts = []
+
+    def counted_bench(*args, **kwargs):
+        calls = []
+
+        def counting(*a, **k):
+            calls.append(1)
+            return solve(*a, **k)
+
+        with monkeypatch.context() as m:
+            m.setattr(tdmpc.closed_loop, "solve_benchmark", counting)
+            run = bench(*args, **kwargs)
+        counts.append(len(calls))
+        return run
+
+    monkeypatch.setattr(cli, "run_benchmark", counted_bench)
+    assert cli.main(["--config", conf, "--out", str(tmp_path / "s"), "--repeats", "2",
+                     "sweep"]) == 0
+    assert counts == [4]

@@ -73,6 +73,15 @@ def test_eta_tilde_mpc_matches_powers():
         T.eta_tilde_mpc(0.9, [3, 0, 2])
 
 
+def test_eta_tilde_mpc_takes_whole_budgets_of_any_size():
+    # a budget past int64 has its (underflowed) rate; a fractional one is refused
+    assert T.eta_tilde_mpc(0.5, [10**20, 2**63, 1]).rates.tolist() == [0.0, 0.0, 0.5]
+    with pytest.raises(T.NumericsError, match="iteration count must be an integer"):
+        T.eta_tilde_mpc(0.5, [2.5])
+    with pytest.raises(T.NumericsError, match="iteration count must be an integer"):
+        T.eta_tilde_mpc(0.5, [2.5, 1])
+
+
 def test_single_step_bar_is_zero():
     rv = T.eta_tilde([0.7])
     assert rv.bar == 0.0

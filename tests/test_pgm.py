@@ -43,6 +43,14 @@ def test_config_step_size_and_contraction_factor(pend):
         == pytest.approx(cfg.eta, abs=1e-12)
 
 
+def test_config_rejects_indefinite_hessian(scalar_qp):
+    qp = copy.copy(scalar_qp[0])
+    qp.H = np.diag([2.0, -0.5])
+    with pytest.raises(T.NumericsError,
+                       match="H is not positive definite: min eigenvalue -5.000e-01"):
+        T.pgm_config(qp)
+
+
 def test_config_conditioned_identity_hessian():
     box = T.BoxSet([-1.0, -1.0], [1.0, 1.0])
     qp = T.CondensedQp(
