@@ -570,6 +570,10 @@ def main(argv=None):
     except (NumericsError, BenchmarkSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # --out cannot be created or an output cannot be written there
+        print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

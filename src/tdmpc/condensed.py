@@ -20,7 +20,9 @@ class CondensedQp:
 
     factor_cache maps a free-component mask (its bytes) to the inverse of
     the block of H on those components; the reference minimizer fills it.
-    It lives on the instance so it can only ever serve this problem.
+    step_cache maps a step size alpha to the controller's iteration
+    matrix I - 2 alpha H.  Both live on the instance so they can only ever
+    serve this problem.
     """
 
     def __init__(self, N, H, G, W, S, B_bar, u_box, nu_box, Q, R, P):
@@ -36,6 +38,7 @@ class CondensedQp:
         self.R = R
         self.P = P
         self.factor_cache = {}
+        self.step_cache = {}
 
 
 def build_condensed(model, Q, R, P, N, u_box):

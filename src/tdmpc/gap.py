@@ -58,16 +58,21 @@ def eta_tilde(rates):
     return RateVector(rates, tilde, bar)
 
 
+# eta ** ell is already exactly 0.0 at ell = 2**63 for every double eta < 1,
+# so larger budgets take this exponent and never overflow a float
+_ELL_CAP = 2**63
+
+
 def eta_tilde_mpc(eta, ell_schedule):
     """Compounded weights when step k runs ell_k optimizer iterations.
 
-    Each ell_k must be an integer >= 1.  It enters as a float exponent, so
-    a budget past the int64 range still has its rate.
+    Each ell_k must be an integer >= 1.  It enters as a float exponent,
+    capped at _ELL_CAP, so a budget of any size has its rate.
     """
     ells = [_iteration_count(ell) for ell in ell_schedule]
     if any(ell < 1 for ell in ells):
         raise NumericsError("iteration schedule entries must be >= 1")
-    return eta_tilde(float(eta) ** np.asarray(ells, dtype=float))
+    return eta_tilde(float(eta) ** np.asarray([min(ell, _ELL_CAP) for ell in ells], dtype=float))
 
 
 def empirical_gap(run_sub, run_bench, Q, R, P):
@@ -151,7 +156,7 @@ def build_gap_report(run_sub, qp, certs, run_bench=None):
     rv = eta_tilde_mpc(certs.eta, run_sub.ell_schedule)
     # a Python power, bit for bit the eta ** ell of a constant schedule;
     # the vectorized power behind rv.rates can differ in the last bit
-    rate_max = certs.eta ** int(min(run_sub.ell_schedule))
+    rate_max = certs.eta ** min(int(min(run_sub.ell_schedule)), _ELL_CAP)
     chain = chain_bound(rv, certs.L, deltas, run_sub.delta_u0_norm)
     bound = None if certs.M_bar is None else certs.M_bar * chain
     complexity = complexity_term(rate_max, S_T)

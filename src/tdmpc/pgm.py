@@ -5,7 +5,10 @@ input box, with the classical optimal fixed step alpha = 2 / (l + L)
 expressed through the extreme curvatures of the full Hessian 2H as
 alpha = 1 / (lam_max(H) + lam_min(H)).  The iteration contracts to the
 minimizer mu*(x) at rate eta = (lam_max - lam_min) / (lam_max + lam_min)
-per step, uniformly in x.
+per step, uniformly in x.  The controller runs the step in its affine
+form nu <- P(M nu + c), with M = I - 2 alpha H cached per problem and
+step size and c = -2 alpha G x formed once per call: the same map, whose
+iterates differ from the gradient form's only by rounding.
 
 The reference minimizer mu*(x) itself comes from an exact primal
 active-set solve, accepted only with a certificate on the fixed-point
@@ -61,25 +64,27 @@ _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 def _pgm_steps(qp, cfg, GX, V, ell):
     """ell projected gradient steps on checked (dim, batch) arrays.
 
-    GX = G @ X is formed once by the caller.  Each step computes
-    min(max(V - 2 alpha (H V + G X), lo), hi), which is what np.clip
-    computes for the finite bounds lo < hi, with the same operations in
-    the same order, so every iterate keeps its bits.  The steps write into
+    GX = G @ X is formed once by the caller, and c = GX * (-2 alpha) once
+    here.  Each step computes min(max(M V + c, lo), hi), which is
+    np.clip(M @ V + c, lo, hi) for the finite bounds lo < hi, with
+    M = I - 2 alpha H cached on qp per step size: the gradient step
+    V - 2 alpha (H V + G X) in affine form, in three C calls per step,
+    equal to it up to rounding but not bit for bit.  The steps write into
     a fresh C-ordered copy of V and one scratch array through positional
     out arguments: no allocation per step, the caller's V is never
-    written and every call returns a new array.  H.dot is H @ V without
-    matmul's dispatch, and 2 alpha is 0-d (no per-step float conversion).
+    written and every call returns a new array.  M.dot is M @ V without
+    matmul's dispatch.
     """
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    a2, dot, add, mul, sub, clip = (np.array(cfg.alpha * 2.0), qp.H.dot, np.add,
-                                    np.multiply, np.subtract, _clip)
+    M = qp.step_cache.get(cfg.alpha)
+    if M is None:
+        M = qp.step_cache[cfg.alpha] = np.eye(qp.H.shape[0]) - (2.0 * cfg.alpha) * qp.H
+    dot, add, clip, c = M.dot, np.add, _clip, GX * (-2.0 * cfg.alpha)
     V = np.array(V, dtype=float, order="C")
     T = np.empty_like(V)
     for _ in range(ell):
         dot(V, T)
-        add(T, GX, T)
-        mul(a2, T, T)
-        sub(V, T, T)
+        add(T, c, T)
         clip(T, lo, hi, V)
     return V
 

@@ -415,6 +415,41 @@ def test_sweep_runs_a_budget_past_int64(tmp_path):
     assert len(rows) == 2 and rows[1].startswith(f"{10**20},0.0,")
 
 
+def test_sweep_runs_a_budget_too_large_for_a_float(tmp_path):
+    # 10**400 has no float; its rate is eta ** 2**63, exactly 0.0
+    conf = write_conf(tmp_path, extra=f"T = 3\nell_list = [{10**400}]\n")
+    out = tmp_path / "huger"
+    assert cli.main(["--config", conf, "--out", str(out), "sweep"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 2
+    ell, eta_pow_ell = rows[1].split(",")[:2]
+    assert ell == str(10**400) and eta_pow_ell == "0.0"
+
+
+def test_out_that_is_a_file_exits_1(tmp_path, capsys):
+    conf = write_conf(tmp_path)
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory\n")
+    assert cli.main(["--config", conf, "--out", str(plain), "constants"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write output:") and str(plain) in err
+    assert len(err.strip().splitlines()) == 1
+    assert plain.read_text() == "not a directory\n"
+
+
+def test_unwritable_run_csv_exits_1(tmp_path, capsys):
+    # the run completes (the untimed kernel skips the orbit), but
+    # run_ell<budget>.csv is a file name longer than the file system allows
+    conf = write_conf(tmp_path, extra="T = 3\n")
+    out = tmp_path / "long"
+    assert cli.main(["--config", conf, "--out", str(out), "--repeats", "0", "run",
+                     str(10**300)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write output:")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert list(out.iterdir()) == []
+
+
 def test_fit_wrote_line_only_when_the_fit_is_written(tmp_path, capsys):
     conf = write_conf(tmp_path)
     out = tmp_path / "fit"

@@ -357,12 +357,13 @@ def test_grouped_active_set_is_bit_identical_to_dict_grouping(
 
 
 def _clip_loop(qp, cfg, x, nu, ell):
-    """The projected gradient loop written with np.clip and G @ x per step."""
+    """The affine projected gradient loop written with np.clip, M @ V and G @ x per step."""
     X = x if x.ndim == 2 else x[:, None]
     V = nu if nu.ndim == 2 else nu[:, None]
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    M = np.eye(qp.H.shape[0]) - cfg.alpha * 2.0 * qp.H
     for _ in range(ell):
-        V = np.clip(V - cfg.alpha * 2.0 * (qp.H @ V + qp.G @ X), lo, hi)
+        V = np.clip(M @ V + (qp.G @ X) * (-2.0 * cfg.alpha), lo, hi)
     return V[:, 0] if (x.ndim == 1 and nu.ndim == 1) else V
 
 
@@ -385,7 +386,7 @@ def test_iterate_is_bit_identical_to_clip_loop(pend, random_instance):
         ell = int(rng.integers(1, 40))
         out = T.pgm_iterate(qp, cfg, X, NU, ell)
         assert np.array_equal(out, _clip_loop(qp, cfg, X, NU, ell))
-        # H.dot gives matmul's product for any memory layout of the inputs
+        # M.dot gives matmul's product for any memory layout of the inputs
         for layout in (np.asfortranarray, lambda A: np.repeat(A, 2, axis=1)[:, ::2]):
             Xl, NUl = layout(X), layout(NU)
             assert np.array_equal(T.pgm_iterate(qp, cfg, Xl, NUl, ell),
@@ -397,6 +398,60 @@ def test_iterate_is_bit_identical_to_clip_loop(pend, random_instance):
             assert single.shape == (qp.H.shape[0],)
             assert np.array_equal(single, _clip_loop(qp, cfg, X[:, j], NU[:, j], ell))
     assert saturated > 0
+
+
+def _gradient_loop(qp, cfg, X, V, ell):
+    """The projected gradient loop in its gradient form V - 2 alpha (H V + G X)."""
+    lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    for _ in range(ell):
+        V = np.clip(V - cfg.alpha * 2.0 * (qp.H @ V + qp.G @ X), lo, hi)
+    return V
+
+
+def test_iterate_agrees_with_gradient_form_to_rounding(pend, random_instance):
+    # both forms are the same eta-contraction up to a per-step rounding of
+    # a few dim * eps (1 + |v|), so their iterates stay within
+    # 4 dim eps (1 + |v|) / (1 - eta) of each other; the worst seen is about 1.1 dim
+    rng = np.random.default_rng(44)
+    eps = np.finfo(float).eps
+    differ = 0
+    for i, (model, qp, cfg) in enumerate(_problems(pend, random_instance, rng, 40)):
+        dim = qp.H.shape[0]
+        # scales from the interior to far outside, where every bound saturates
+        X = rng.standard_normal((model.n, 8)) * np.logspace(-2.0, 4.0, 8)
+        NU = qp.nu_box.sample(rng, 8)
+        for ell in (1, 7, int(rng.integers(1, 400)), 2000 if i == 0 else 50):
+            out = T.pgm_iterate(qp, cfg, X, NU, ell)
+            ref = _gradient_loop(qp, cfg, X, NU, ell)
+            tol = 4.0 * dim * eps * (1.0 + np.linalg.norm(out, axis=0)) / (1.0 - cfg.eta)
+            assert np.all(np.linalg.norm(out - ref, axis=0) <= tol), (i, ell)
+            differ += not np.array_equal(out, ref)
+    assert differ > 0  # the forms do round differently
+
+
+def test_step_matrix_is_cached_per_problem_and_step_size(pend):
+    qp = T.build_condensed(pend.model, pend.Q, pend.R, pend.P, pend.N, pend.box)
+    cfg = T.pgm_config(qp)
+    x, nu = pend.x0, np.zeros(qp.H.shape[0])
+    out = T.pgm_iterate(qp, cfg, x, nu, 5)
+    assert list(qp.step_cache) == [cfg.alpha]
+    M = qp.step_cache[cfg.alpha]
+    assert np.array_equal(M, np.eye(qp.H.shape[0]) - 2.0 * cfg.alpha * qp.H)
+    T.pgm_iterate(qp, cfg, x, nu, 5)
+    assert qp.step_cache[cfg.alpha] is M  # built once, reused
+    # another step size on the same problem gets its own matrix and iterates
+    half = T.PgmConfig(cfg.alpha / 2.0, cfg.eta, cfg.tol_benchmark, cfg.iter_cap)
+    slow = T.pgm_iterate(qp, half, x, nu, 5)
+    assert set(qp.step_cache) == {cfg.alpha, half.alpha}
+    assert np.array_equal(qp.step_cache[half.alpha],
+                          np.eye(qp.H.shape[0]) - 2.0 * half.alpha * qp.H)
+    assert np.array_equal(slow, _clip_loop(qp, half, x, nu, 5))
+    assert not np.allclose(slow, out)
+    # the same step size on another problem never sees this problem's matrix
+    other = T.build_condensed(pend.model, pend.Q, 4.0 * pend.R, pend.P, pend.N, pend.box)
+    assert other.step_cache is not qp.step_cache
+    assert np.array_equal(T.pgm_iterate(other, cfg, x, nu, 5), _clip_loop(other, cfg, x, nu, 5))
+    assert not np.array_equal(other.step_cache[cfg.alpha], M)
 
 
 def test_iterate_leaves_nu_unchanged(pend):
@@ -436,13 +491,15 @@ def test_iterate_keeps_zero_signs_of_clip_loop(pend):
     rng = np.random.default_rng(34)
     nNu, cfg = pend.qp.H.shape[0], pend.cfg
     signed = 0
-    for lower, upper in ((0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)):
+    for lower, upper in ((0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-1.0, 1.0)):
         # BoxSet keeps 0 interior; the kernel reads only the two bound vectors
         qp = copy.copy(pend.qp)
         qp.nu_box = SimpleNamespace(lower=np.full(nNu, lower), upper=np.full(nNu, upper))
         X = np.column_stack([np.zeros(2), rng.standard_normal((2, 5)) * np.logspace(-3, 1, 5)])
         NU = np.where(rng.random((nNu, 6)) < 0.5, -0.0, rng.uniform(lower, upper, (nNu, 6)))
-        NU[:, 0] = -0.0  # at x = 0 the gradient is +0.0, so -0.0 must survive each step
+        # at x = 0, c is -0.0 and M @ nu turns -0.0 entries into +0.0, so only
+        # an upper bound of -0.0 gives the iterates a signed zero
+        NU[:, 0] = -0.0
         for ell in (0, 1, 2, 9):
             out = T.pgm_iterate(qp, cfg, X, NU, ell)
             assert out.tobytes() == _clip_loop(qp, cfg, X, NU, ell).tobytes(), (lower, ell)
