@@ -70,10 +70,12 @@ def _timed_loop(fn, repeats):
 
 
 def _check_start(model, x0, T):
-    """x0 as a flat float array and T as an int >= 1; NumericsError otherwise."""
+    """x0 as a flat finite float array and T as an int >= 1; NumericsError otherwise."""
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != model.n:
         raise NumericsError(f"x0 has dimension {x0.size}, expected {model.n}")
+    if not np.all(np.isfinite(x0)):
+        raise NumericsError("x0 contains non-finite entries")
     try:
         T = operator.index(T)
     except TypeError:

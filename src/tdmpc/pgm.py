@@ -193,19 +193,22 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     np.clip(V, lo, hi, out=V)
 
     f = np.flatnonzero(~blocked)
-    Vf = V[:, f]
-    Vf[free] -= inv @ (HF @ Vf + GX[free][:, f])
+    # no column blocked: refine V and GX themselves, not copies of them
+    Vf, Gf = (V[:, f], GX[:, f]) if b.size else (V, GX)
+    Vf[free] -= inv @ (HF @ Vf + Gf[free])
     np.clip(Vf, lo, hi, out=Vf)
-    z = Vf - _pgm_steps(qp, cfg, GX[:, f], Vf, 1)
-    V[:, f] = Vf
+    z = Vf - _pgm_steps(qp, cfg, Gf, Vf, 1)
+    if b.size:
+        V[:, f] = Vf
     residual = np.full(V.shape[1], np.inf)
     residual[f] = np.linalg.norm(z, axis=0) / (1.0 + np.linalg.norm(Vf, axis=0))
-    moved = np.where(bound[:, f], np.abs(z), 0.0)
-    worst = moved.argmax(axis=0)
-    release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(f.size)] > 0.0)
-    bound[worst[release], f[release]] = False
     changed = blocked
-    changed[f[release]] = True
+    if bound.any():  # with no bound in the working set there is none to release
+        moved = np.where(bound[:, f], np.abs(z), 0.0)
+        worst = moved.argmax(axis=0)
+        release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(f.size)] > 0.0)
+        bound[worst[release], f[release]] = False
+        changed[f[release]] = True
     return changed, residual
 
 
@@ -214,20 +217,25 @@ def _active_set(qp, cfg, X, V):
 
     The initial working set is the set of bounds that the feasible start V
     touches.  Columns are grouped by working set, so each group shares one
-    cached factor.  Returns (V, ok): ok marks the columns that finished
-    within cfg.iter_cap working-set changes and whose certificate, the
-    scaled fixed-point residual ||nu - T(nu)|| / (1 + ||nu||) of the
-    projected gradient map T, is at most cfg.tol_benchmark.
+    cached factor; while every column is pending in one working set, the
+    pass runs on the whole arrays in place.  The arrays stay column-major,
+    the layout that a V[:, cols] gather gives, so both ways hand BLAS the
+    same operands and give the same bits.  Returns (V, ok) with V
+    C-ordered: ok marks the columns that finished within cfg.iter_cap
+    working-set changes and whose certificate, the scaled fixed-point
+    residual ||nu - T(nu)|| / (1 + ||nu||) of the projected gradient map
+    T, is at most cfg.tol_benchmark.
     """
-    GX = qp.G @ X
+    GX, V = np.asfortranarray(qp.G @ X), np.asfortranarray(V)
     bound = (V <= qp.nu_box.lower[:, None]) | (V >= qp.nu_box.upper[:, None])
     changes = np.zeros(V.shape[1], dtype=int)
     ok = np.zeros(V.shape[1], dtype=bool)
     todo = np.arange(V.shape[1])
     while todo.size:
         free = ~bound[:, todo]
-        groups = [np.zeros(1, dtype=int)]  # one column: the sort would only cost time
-        if todo.size > 1:
+        if (free == free[:, :1]).all():
+            groups = [np.arange(todo.size)]  # one working set: nothing to sort
+        else:
             # stable: each group keeps its columns ascending, whatever the group order
             order = np.lexsort(free[::-1])
             cuts = np.flatnonzero((free[:, order[1:]] != free[:, order[:-1]]).any(axis=0)) + 1
@@ -235,14 +243,16 @@ def _active_set(qp, cfg, X, V):
         keep = np.zeros(todo.size, dtype=bool)
         for at in groups:
             cols = todo[at]
-            Vg, Bg = V[:, cols], bound[:, cols]
-            changed, residual = _active_set_pass(qp, cfg, free[:, at[0]], GX[:, cols], Vg, Bg)
-            V[:, cols], bound[:, cols] = Vg, Bg
+            whole = cols.size == V.shape[1]  # in place: no gather, no scatter
+            Gg, Vg, Bg = (GX, V, bound) if whole else (GX[:, cols], V[:, cols], bound[:, cols])
+            changed, residual = _active_set_pass(qp, cfg, free[:, at[0]], Gg, Vg, Bg)
+            if not whole:
+                V[:, cols], bound[:, cols] = Vg, Bg
             changes[cols] += changed
             ok[cols] = ~changed & (residual <= cfg.tol_benchmark)
             keep[at] = changed & (changes[cols] < cfg.iter_cap)
         todo = todo[keep]
-    return V, ok
+    return np.ascontiguousarray(V), ok
 
 
 def solve_benchmark(qp, cfg, x, nu0=None):
@@ -254,12 +264,17 @@ def solve_benchmark(qp, cfg, x, nu0=None):
     ||nu - P(nu - 2 alpha (H nu + G x))|| / (1 + ||nu||), the KKT residual
     in projected-gradient units, is at most tol_benchmark.  A column that
     fails the certificate or reaches iter_cap working-set changes falls
-    back to solve_benchmark_pgm warm-started from the active-set iterate.
-    Accepts batched x (n, batch) with nu0 shaped to match.
+    back to solve_benchmark_pgm warm-started from the active-set iterate,
+    unless G x or that iterate is not finite, which raises NumericsError.
+    Accepts batched x (n, batch) with nu0 shaped to match and returns a
+    C-ordered array; neither input is written.
     """
     X, sx = _batched(x, qp.W.shape[0], "x")
     V, ok = _active_set(qp, cfg, X, _warm_start(qp, X, nu0))
     if not ok.all():
+        # projected gradient from a non-finite point would only run to its cap
+        if not (np.isfinite(qp.G @ X[:, ~ok]).all() and np.isfinite(V[:, ~ok]).all()):
+            raise NumericsError("G x or the active-set iterate contains non-finite entries")
         V[:, ~ok] = solve_benchmark_pgm(qp, cfg, X[:, ~ok], V[:, ~ok])
     return V[:, 0] if sx else V
 

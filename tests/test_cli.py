@@ -405,6 +405,15 @@ def test_wrong_length_x0_exits_1_on_every_verb(tmp_path, capsys, verbs):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("verbs", [["run", "3"], ["run", "benchmark"], ["sweep"]], ids=" ".join)
+def test_non_finite_x0_exits_3_at_once(tmp_path, capsys, verbs):
+    # 1e400 parses to inf; the loop would otherwise run the fallback on NaN to iter_cap
+    conf = write_conf(tmp_path, extra="x0 = [1e400, 0.0]\n")
+    assert cli.main(["--config", conf, "--out", str(tmp_path / "out"), *verbs]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: x0 contains non-finite entries\n"
+
+
 def test_sweep_runs_a_budget_past_int64(tmp_path):
     # the untimed kernel skips the orbit's repeats, and the rates take the
     # budget as a float exponent

@@ -353,6 +353,60 @@ def test_grouped_active_set_is_bit_identical_to_dict_grouping(
     assert raised[0] == raised[1]
 
 
+def test_one_working_set_is_bit_identical_to_dict_grouping_at_gemm_tails(
+        monkeypatch, no_fallback):
+    # dim(H) = 20: at these widths OpenBLAS rounds gemm's tail columns
+    # differently with operand layout, so a solve in place has to keep the
+    # column-major layout that the grouped gathers give
+    rng = np.random.default_rng(36)
+    A = rng.standard_normal((3, 3))
+    model = T.LtiModel(0.9 * A / max(abs(np.linalg.eigvals(A))), rng.standard_normal((3, 2)))
+    Q, R = np.eye(3), np.eye(2)
+    P, _ = T.solve_dare(model.A, model.B, Q, R)
+    box = T.BoxSet([-1.0, -0.5], [1.0, 0.5])
+    qp = T.build_condensed(model, Q, R, P, 10, box)
+    cfg = T.pgm_config(qp)
+    assert qp.H.shape == (20, 20)
+    seen = []
+
+    def solve_both(X, nu0):
+        X_in, nu0_in = X.copy(), None if nu0 is None else nu0.copy()
+        got = T.solve_benchmark(qp, cfg, X, nu0)
+        with monkeypatch.context() as m:
+            m.setattr(tdmpc.pgm, "_active_set", lambda *args: _dict_active_set(*args, seen))
+            want = T.solve_benchmark(qp, cfg, X, nu0)
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
+        assert np.array_equal(X, X_in) and (nu0 is None or np.array_equal(nu0, nu0_in))
+        return got
+
+    lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    direction = rng.standard_normal(3)
+    for width in (217, 262, 292):
+        # all free: tiny states, one pass with no blocking bound
+        MU = solve_both(rng.standard_normal((3, width)) * 1e-6, None)
+        assert not np.any((MU == lo) | (MU == hi))
+        # all saturated: huge states along one direction, every bound taken
+        # one at a time from a cold start, then again from the solution
+        X = np.outer(direction, 10.0 ** rng.uniform(4.0, 6.0, width))
+        MU = solve_both(X, None)
+        assert np.all((MU == lo) | (MU == hi))
+        solve_both(X, MU)
+    assert all(groups == 1 for _, groups in seen)  # one working set in every pass
+    assert max(passes for passes, _ in seen) > 3
+
+
+def test_non_finite_benchmark_solve_raises_without_fallback(pend, monkeypatch):
+    # G x overflows: projected gradient from a NaN iterate would run to iter_cap
+    calls = []
+    monkeypatch.setattr(tdmpc.pgm, "solve_benchmark_pgm", lambda *args: calls.append(args))
+    with pytest.warns(RuntimeWarning) as warned:
+        with pytest.raises(T.NumericsError, match="non-finite"):
+            T.solve_benchmark(pend.qp, pend.cfg, [1e308, 1e308])
+    assert any("overflow" in str(w.message) for w in warned)
+    assert calls == []
+
+
 # --- lean controller loop: same iterates, bit for bit ---
 
 
