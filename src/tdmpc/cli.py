@@ -23,10 +23,12 @@ import numpy as np
 from .certificates import (
     CertificateError,
     compute_certificates,
+    region_radius,
     sample_gamma,
     stage_cost_lipschitz,
 )
 from .closed_loop import (
+    _check_start,
     cost_JT,
     run_benchmark,
     run_tdmpc,
@@ -252,6 +254,8 @@ def build_model(conf):
         raise ConfigError(
             f"configuration key 'x0' has {conf['x0'].size} entries, expected {model.n}"
         )
+    # every verb ends a non-finite start here, before any work
+    _check_start(model, conf["x0"], conf["T"])
     P, K = solve_dare(model.A, model.B, Q, R)
     return model, Q, R, box, P, K
 
@@ -271,15 +275,16 @@ def default_ell_list():
 
 
 def _write_lines(path, lines):
+    """Write an artefact and say so on stdout."""
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    print(f"wrote {path}")
 
 
 def _report(path, lines):
-    """Write a report and echo it to stdout."""
-    _write_lines(path, lines)
+    """Echo a report to stdout and write it."""
     print("\n".join(lines))
-    print(f"wrote {path}")
+    _write_lines(path, lines)
 
 
 def _gamma_sampler(qp, cfg, r_N):
@@ -297,21 +302,20 @@ def _saved_fit(out_dir):
     return (load_ediss_fit(path) if os.path.exists(path) else None), path
 
 
-def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs_r_N, rng):
+def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, r_N, rng):
     """Reuse a fit report from the output directory or compute and write a fresh one."""
     fit, path = _saved_fit(out_dir)
     if fit is not None:
         return fit
     evaluator = make_benchmark_evaluator(model, qp, cfg)
-    sampler = _gamma_sampler(qp, cfg, certs_r_N)
+    sampler = _gamma_sampler(qp, cfg, r_N)
     # a checked r_w is > 0, so only an absent one takes the default
-    r_w = conf["r_w"] or float(0.01 * certs_r_N * spectral_norm(mat_inv_sqrt(qp.P, "P")))
+    r_w = conf["r_w"] or float(0.01 * r_N * spectral_norm(mat_inv_sqrt(qp.P, "P")))
     fit = fit_ediss(
         evaluator, sampler, rng, r_w, pairs=conf["ediss_pairs"],
         horizon=conf["ediss_horizon"], holdout_pairs=conf["ediss_holdout"],
     )
     _write_lines(path, fit.to_lines())
-    print(f"wrote {path}")
     return fit
 
 
@@ -329,9 +333,9 @@ def cmd_constants(conf, out_dir):
 def cmd_probe(conf, out_dir):
     rng = np.random.default_rng(conf["seed"])
     model, qp, cfg, K = build_setup(conf)
-    certs = compute_certificates(model, qp, cfg, K)
-    fit = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
-    sampler = _gamma_sampler(qp, cfg, certs.r_N)
+    r_N = region_radius(qp, K)[2]
+    fit = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, r_N, rng)
+    sampler = _gamma_sampler(qp, cfg, r_N)
     worst = audit_contraction(
         qp, cfg, sampler, rng,
         samples=conf["contraction_samples"], ell_max=conf["contraction_ell_max"],
@@ -349,7 +353,7 @@ def cmd_probe(conf, out_dir):
 
 
 def cmd_run(conf, out_dir, target):
-    if target != "benchmark" and not (str(target).isdigit() and int(target) >= 1):
+    if target != "benchmark" and not (str(target).isdecimal() and int(target) >= 1):
         raise ConfigError(
             f"run target must be an iteration budget >= 1 or 'benchmark', got {target!r}"
         )
@@ -400,13 +404,10 @@ def cmd_sweep(conf, out_dir, svg=False):
         plot_pts.append((ell, compute_time, gap.R_T, gap.complexity, gap.bound))
         if not run.stable:
             print(f"ell = {ell}: closed loop diverged after {run.T} steps", file=sys.stderr)
-    path = os.path.join(out_dir, "sweep.csv")
-    _write_lines(path, rows)
-    print(f"wrote {path}")
+    _write_lines(os.path.join(out_dir, "sweep.csv"), rows)
     if svg:
         # gap and complexity against compute time when timing ran, else
         # against the iteration budget (repeats = 0 writes zero times)
-        svg_path = os.path.join(out_dir, "sweep.svg")
         timed = any(p[1] > 0.0 for p in plot_pts)
         xs = [p[1] if timed else p[0] for p in plot_pts]
         xlabel = "compute time [s]" if timed else "iterations per step"
@@ -415,8 +416,7 @@ def cmd_sweep(conf, out_dir, svg=False):
             ("complexity", xs, [p[3] for p in plot_pts]),
             ("certified bound", xs, [p[4] for p in plot_pts]),
         ]
-        svg_line_plot(svg_path, series, xlabel, "cost gap")
-        print(f"wrote {svg_path}")
+        svg_line_plot(os.path.join(out_dir, "sweep.svg"), series, xlabel, "cost gap")
     return 0
 
 
@@ -514,8 +514,7 @@ def svg_line_plot(path, series, xlabel, ylabel):
         f"{ylabel}</text>"
     )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(path, parts)
 
 
 def main(argv=None):

@@ -160,6 +160,12 @@ def test_run_rejects_bad_target(tmp_path, capsys):
     conf = write_conf(tmp_path)
     assert cli.main(["--config", conf, "--out", str(tmp_path), "run", "soon"]) == 1
     assert cli.main(["--config", conf, "--out", str(tmp_path), "run", "0"]) == 1
+    capsys.readouterr()
+    # a superscript two is a digit but no decimal: int() would reject it
+    assert cli.main(["--config", conf, "--out", str(tmp_path), "run", "²"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_run_with_optimal_warm_start(tmp_path):
@@ -405,13 +411,20 @@ def test_wrong_length_x0_exits_1_on_every_verb(tmp_path, capsys, verbs):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("verbs", [["run", "3"], ["run", "benchmark"], ["sweep"]], ids=" ".join)
-def test_non_finite_x0_exits_3_at_once(tmp_path, capsys, verbs):
-    # 1e400 parses to inf; the loop would otherwise run the fallback on NaN to iter_cap
-    conf = write_conf(tmp_path, extra="x0 = [1e400, 0.0]\n")
-    assert cli.main(["--config", conf, "--out", str(tmp_path / "out"), *verbs]) == 3
-    err = capsys.readouterr().err
-    assert err == "numerical failure: x0 contains non-finite entries\n"
+@pytest.mark.parametrize("verbs, extra", [
+    (["run", "3"], ""), (["run", "benchmark"], ""), (["sweep"], ""), (["constants"], ""),
+    (["probe"], ""), (["calibrate-N"], ""), (["run", "3"], "nu_init = optimal\n"),
+], ids=["run 3", "run benchmark", "sweep", "constants", "probe", "calibrate-N",
+        "run 3 nu_init=optimal"])
+def test_non_finite_x0_exits_3_at_once(tmp_path, capsys, verbs, extra):
+    # 1e400 parses to inf; the loop would otherwise run the fallback on NaN to
+    # iter_cap.  Every verb ends before the DARE, so nothing is fitted or written
+    conf = write_conf(tmp_path, extra="x0 = [1e400, 0.0]\n" + extra)
+    out = tmp_path / "out"
+    assert cli.main(["--config", conf, "--out", str(out), *verbs]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: x0 contains non-finite entries\n"
+    assert captured.out == "" and list(out.iterdir()) == []
 
 
 def test_sweep_runs_a_budget_past_int64(tmp_path):
@@ -474,6 +487,27 @@ def test_fit_wrote_line_only_when_the_fit_is_written(tmp_path, capsys):
     fresh = tmp_path / "fresh"
     assert cli.main(["--config", conf, "--out", str(fresh), "sweep"]) == 0
     assert f"wrote {fresh / 'ediss_fit.txt'}" in capsys.readouterr().out.splitlines()
+
+
+def test_each_written_file_gets_one_wrote_line(tmp_path, capsys):
+    conf = write_conf(tmp_path)
+    out = tmp_path / "all"
+    for verbs in (["probe"], ["constants"], ["sweep", "--svg"], ["calibrate-N"], ["run", "6"]):
+        assert cli.main(["--config", conf, "--out", str(out), *verbs]) == 0
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(f"wrote {path}" for path in out.iterdir())
+    assert len(wrote) == 7
+
+
+def test_probe_assembles_no_certificates(tmp_path, monkeypatch):
+    # probe reads only the region radius r_N, which draws no rng
+    def refuse(*args, **kwargs):
+        raise AssertionError("probe assembled the certificates")
+
+    monkeypatch.setattr(cli, "compute_certificates", refuse)
+    conf = write_conf(tmp_path)
+    assert cli.main(["--config", conf, "--out", str(tmp_path / "p"), "probe"]) == 0
 
 
 def test_sweep_benchmark_run_solves_each_step_once(tmp_path, monkeypatch):
