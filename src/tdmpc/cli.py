@@ -183,12 +183,14 @@ CONFIG_KEYS = {
     "calibrate_max": (_count(1), 40),
 }
 
-# the keys of a saved fit report, the fields of EdissFit
+# the keys of a saved fit report: the fields of EdissFit and the
+# fingerprint of the problem it was fitted for (none in an older report)
 FIT_KEYS = {
     "c0": (_nonnegative, REQUIRED), "c_w": (_nonnegative, REQUIRED),
     "rho": (_number(lambda v: 0 < v < 1, "a number in (0, 1)"), REQUIRED),
     "r_w": (_positive, REQUIRED),
     "pairs": (_count(0), 0), "horizon": (_count(0), 0), "worst_slack": (_slack, 0.0),
+    "fingerprint": (_count(0), None),
 }
 
 
@@ -261,9 +263,17 @@ def build_model(conf):
 
 
 def build_setup(conf):
-    """Condensed QP and optimizer configuration for the configured horizon."""
+    """Condensed QP and optimizer configuration for the configured horizon.
+
+    Also ends a finite x0 whose G x0 overflows, before any fit or solve
+    could warn about it; calibrate-N never forms G x0.
+    """
     model, Q, R, box, P, K = build_model(conf)
     qp = build_condensed(model, Q, R, P, conf["N"], box)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(qp.G @ conf["x0"]).all()
+    if not finite:
+        raise NumericsError("G x0 contains non-finite entries")
     cfg = pgm_config(qp, tol_benchmark=conf["tol_benchmark"], iter_cap=conf["iter_cap"])
     return model, qp, cfg, K
 
@@ -291,20 +301,56 @@ def _gamma_sampler(qp, cfg, r_N):
     return lambda rng, count: sample_gamma(qp, cfg, r_N, rng, count)
 
 
+def fit_fingerprint(conf, model, qp):
+    """64 bits of sha256 over the problem that an incremental-stability fit belongs to.
+
+    Covers A, B, Q, R, P, N, the input box, r_w, the fit sizes and the
+    seed.  T, x0, the budgets, repeats and nu_init stay out: the fit never
+    reads them, so one fit serves every run of its problem.
+    """
+    # imported here: hashlib maps OpenSSL, 3.5 MB of resident memory that
+    # `run` never needs (the verbs that fit import it through numpy.random)
+    import hashlib
+
+    digest = hashlib.sha256()
+    for a in (model.A, model.B, qp.Q, qp.R, qp.P, qp.u_box.lower, qp.u_box.upper):
+        digest.update(repr(a.shape).encode() + np.ascontiguousarray(a, dtype=float).tobytes())
+    keys = ("N", "r_w", "ediss_pairs", "ediss_horizon", "ediss_holdout", "seed")
+    digest.update(repr([conf[key] for key in keys]).encode())
+    return int.from_bytes(digest.digest()[:8], "big")
+
+
+def _read_fit(path):
+    """A saved fit report as (EdissFit, its fingerprint or None)."""
+    raw = checked(load_config(path), FIT_KEYS, f"fit report {path}: key")
+    fingerprint = raw.pop("fingerprint")
+    return EdissFit(**raw), fingerprint
+
+
 def load_ediss_fit(path):
     """Load a previously written incremental-stability fit report."""
-    return EdissFit(**checked(load_config(path), FIT_KEYS, f"fit report {path}: key"))
+    return _read_fit(path)[0]
 
 
-def _saved_fit(out_dir):
-    """The fit report a probe left in the output directory (None if absent), and its path."""
+def _saved_fit(out_dir, fingerprint, otherwise):
+    """The fit report in the output directory (None if absent or of another problem), and its path.
+
+    A report of another problem is reported on stderr, with what happens `otherwise`.
+    """
     path = os.path.join(out_dir, "ediss_fit.txt")
-    return (load_ediss_fit(path) if os.path.exists(path) else None), path
+    if not os.path.exists(path):
+        return None, path
+    fit, saved = _read_fit(path)
+    if saved != fingerprint:
+        print(f"{path} was fitted for another problem; {otherwise}", file=sys.stderr)
+        return None, path
+    return fit, path
 
 
 def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, r_N, rng):
-    """Reuse a fit report from the output directory or compute and write a fresh one."""
-    fit, path = _saved_fit(out_dir)
+    """Reuse the fit report of this problem from the output directory or write a fresh one."""
+    fingerprint = fit_fingerprint(conf, model, qp)
+    fit, path = _saved_fit(out_dir, fingerprint, "refitting")
     if fit is not None:
         return fit
     evaluator = make_benchmark_evaluator(model, qp, cfg)
@@ -315,17 +361,18 @@ def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, r_N, rng):
         evaluator, sampler, rng, r_w, pairs=conf["ediss_pairs"],
         horizon=conf["ediss_horizon"], holdout_pairs=conf["ediss_holdout"],
     )
-    _write_lines(path, fit.to_lines())
+    _write_lines(path, fit.to_lines() + kv_lines([("fingerprint", fingerprint)]))
     return fit
 
 
 def cmd_constants(conf, out_dir):
     rng = np.random.default_rng(conf["seed"])
     model, qp, cfg, K = build_setup(conf)
-    # reuse incremental-stability constants when a probe already ran into
-    # this output directory; M_bar stays pending otherwise
+    # reuse incremental-stability constants when a probe of this problem
+    # already ran into this output directory; M_bar stays pending otherwise
+    fit = _saved_fit(out_dir, fit_fingerprint(conf, model, qp), "M_bar = pending probe")[0]
     certs = compute_certificates(model, qp, cfg, K, rng=rng, psi_samples=conf["psi_samples"],
-                                 ediss=_saved_fit(out_dir)[0])
+                                 ediss=fit)
     _report(os.path.join(out_dir, "constants.txt"), certs.to_lines())
     return 0
 

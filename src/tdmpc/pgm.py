@@ -148,7 +148,7 @@ def _warm_start(qp, X, nu0):
     V, _ = _batched(nu0, qp.H.shape[0], "nu0")
     if V.shape[1] != X.shape[1]:
         raise NumericsError("x and nu0 have mismatched batch sizes")
-    return qp.nu_box.project(V)
+    return _clip(V, qp.nu_box.lower[:, None], qp.nu_box.upper[:, None])
 
 
 def _free_inverse(qp, free):
@@ -161,6 +161,11 @@ def _free_inverse(qp, free):
     return inv
 
 
+def _norms(a):
+    """np.linalg.norm(a, axis=0) for real a, without its conj copy: the same bits."""
+    return np.sqrt(np.add.reduce(a * a, axis=0))
+
+
 def _active_set_pass(qp, cfg, free, GX, V, bound):
     """One working-set change for columns that share the free mask `free`.
 
@@ -171,44 +176,49 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     the certificate fails, a bound that the step moves has a multiplier
     of the wrong sign, and the one it moves most leaves the working set.
     Updates V and bound in place; returns the columns that changed their
-    working set and the scaled fixed-point residual of the others.
+    working set and the scaled fixed-point residual of the others.  With
+    every component free the rows are indexed by a slice, so H, GX, V and
+    the bounds are read and written as views, not mask copies.
     """
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
     inv = _free_inverse(qp, free)
-    HF = qp.H[free]
-    p = -inv @ (HF @ V + GX[free])
-    v = V[free]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.where(p > 0.0, (hi[free] - v) / p,
-                        np.where(p < 0.0, (lo[free] - v) / p, np.inf))
+    sel = slice(None) if free.all() else free
+    HF, lf, hf = qp.H[sel], lo[sel], hi[sel]
+    p = -inv @ (HF @ V + GX[sel])
+    v = V[sel]
+    # ratio test: room to the bound that p moves toward, inf where p is 0 or NaN
+    up = p > 0.0
+    room = np.full(p.shape, np.inf)
+    np.divide(np.where(up, hf, lf) - v, p, out=room, where=up | (p < 0.0))
     t = room.min(axis=0, initial=1.0)
-    V[free] = v + t * p
+    # the components in the working set already sit on their bounds, so
+    # clipping the free ones before the blocking bounds are set clips all
+    V[sel] = _clip(v + t * p, lf, hf)
     blocked = t < 1.0
     b = np.flatnonzero(blocked)
     if b.size:
         k = room[:, b].argmin(axis=0)
         i = np.flatnonzero(free)[k]
-        V[i, b] = np.where(p[k, b] > 0.0, hi[i, 0], lo[i, 0])
+        V[i, b] = np.where(up[k, b], hi[i, 0], lo[i, 0])
         bound[i, b] = True
-    np.clip(V, lo, hi, out=V)
-
-    f = np.flatnonzero(~blocked)
-    # no column blocked: refine V and GX themselves, not copies of them
-    Vf, Gf = (V[:, f], GX[:, f]) if b.size else (V, GX)
-    Vf[free] -= inv @ (HF @ Vf + Gf[free])
-    np.clip(Vf, lo, hi, out=Vf)
+        f = np.flatnonzero(~blocked)
+        Vf, Gf = V[:, f], GX[:, f]
+    else:  # no column blocked: refine V and GX themselves, not copies of them
+        f, Vf, Gf = slice(None), V, GX
+    Vf[sel] = _clip(Vf[sel] - inv @ (HF @ Vf + Gf[sel]), lf, hf)
     z = Vf - _pgm_steps(qp, cfg, Gf, Vf, 1)
+    residual = np.full(V.shape[1], np.inf)
+    residual[f] = _norms(z) / (1.0 + _norms(Vf))
     if b.size:
         V[:, f] = Vf
-    residual = np.full(V.shape[1], np.inf)
-    residual[f] = np.linalg.norm(z, axis=0) / (1.0 + np.linalg.norm(Vf, axis=0))
     changed = blocked
     if bound.any():  # with no bound in the working set there is none to release
+        cols = np.arange(V.shape[1])[f]
         moved = np.where(bound[:, f], np.abs(z), 0.0)
         worst = moved.argmax(axis=0)
-        release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(f.size)] > 0.0)
-        bound[worst[release], f[release]] = False
-        changed[f[release]] = True
+        release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(cols.size)] > 0.0)
+        bound[worst[release], cols[release]] = False
+        changed[cols[release]] = True
     return changed, residual
 
 
@@ -218,21 +228,22 @@ def _active_set(qp, cfg, X, V):
     The initial working set is the set of bounds that the feasible start V
     touches.  Columns are grouped by working set, so each group shares one
     cached factor; while every column is pending in one working set, the
-    pass runs on the whole arrays in place.  The arrays stay column-major,
-    the layout that a V[:, cols] gather gives, so both ways hand BLAS the
-    same operands and give the same bits.  Returns (V, ok) with V
+    pass runs on the whole arrays in place.  V stays column-major, the
+    layout that a V[:, cols] gather gives, so both ways hand BLAS the same
+    operands and give the same bits; G X and the bound flags never reach
+    BLAS and keep the layout they are made in.  Returns (V, ok) with V
     C-ordered: ok marks the columns that finished within cfg.iter_cap
     working-set changes and whose certificate, the scaled fixed-point
     residual ||nu - T(nu)|| / (1 + ||nu||) of the projected gradient map
     T, is at most cfg.tol_benchmark.
     """
-    GX, V = np.asfortranarray(qp.G @ X), np.asfortranarray(V)
     bound = (V <= qp.nu_box.lower[:, None]) | (V >= qp.nu_box.upper[:, None])
+    GX, V = qp.G @ X, np.asfortranarray(V)
     changes = np.zeros(V.shape[1], dtype=int)
     ok = np.zeros(V.shape[1], dtype=bool)
     todo = np.arange(V.shape[1])
     while todo.size:
-        free = ~bound[:, todo]
+        free = ~(bound if todo.size == V.shape[1] else bound[:, todo])
         if (free == free[:, :1]).all():
             groups = [np.arange(todo.size)]  # one working set: nothing to sort
         else:
@@ -242,8 +253,8 @@ def _active_set(qp, cfg, X, V):
             groups = np.split(order, cuts)
         keep = np.zeros(todo.size, dtype=bool)
         for at in groups:
-            cols = todo[at]
-            whole = cols.size == V.shape[1]  # in place: no gather, no scatter
+            whole = at.size == V.shape[1]  # in place: no gather, no scatter
+            cols = slice(None) if whole else todo[at]
             Gg, Vg, Bg = (GX, V, bound) if whole else (GX[:, cols], V[:, cols], bound[:, cols])
             changed, residual = _active_set_pass(qp, cfg, free[:, at[0]], Gg, Vg, Bg)
             if not whole:

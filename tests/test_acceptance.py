@@ -38,15 +38,19 @@ def _read_rows(path):
 def sweep_rows(pend, pend_fit, tmp_path_factory):
     """Full sweep over 30 log-spaced budgets in 1..5000 plus {6, 40}, T = 30."""
     out = tmp_path_factory.mktemp("acceptance_sweep")
-    # chain from the session fit so the sweep reuses it instead of refitting
-    (out / "ediss_fit.txt").write_text("\n".join(pend_fit.to_lines()) + "\n")
     conf = cli.pendulum_preset()
     conf.update(
         N=5, T=30, repeats=0, seed=0, psi_samples=500,
         ell_list=sorted(set(cli.default_ell_list()) | {6, 40}),
     )
+    conf = cli.checked(conf, cli.CONFIG_KEYS)
+    # chain from the session fit, stamped with this problem's fingerprint,
+    # so the sweep reuses it instead of refitting
+    model, qp, _, _ = cli.build_setup(conf)
+    lines = pend_fit.to_lines() + [f"fingerprint = {cli.fit_fingerprint(conf, model, qp)}"]
+    (out / "ediss_fit.txt").write_text("\n".join(lines) + "\n")
     t0 = time.perf_counter()
-    code = cli.cmd_sweep(cli.checked(conf, cli.CONFIG_KEYS), str(out))
+    code = cli.cmd_sweep(conf, str(out))
     elapsed = time.perf_counter() - t0
     assert code == 0
     return _read_rows(out / "sweep.csv"), elapsed, out

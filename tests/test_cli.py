@@ -411,20 +411,99 @@ def test_wrong_length_x0_exits_1_on_every_verb(tmp_path, capsys, verbs):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("verbs, extra", [
-    (["run", "3"], ""), (["run", "benchmark"], ""), (["sweep"], ""), (["constants"], ""),
-    (["probe"], ""), (["calibrate-N"], ""), (["run", "3"], "nu_init = optimal\n"),
+INF_X0 = "x0 = [1e400, 0.0]\n"
+OVERFLOW_X0 = "x0 = [1e308, 1e308]\n"
+INF_MESSAGE = "x0 contains non-finite entries"
+OVERFLOW_MESSAGE = "G x0 contains non-finite entries"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verbs, extra, message", [
+    (["run", "3"], INF_X0, INF_MESSAGE), (["run", "benchmark"], INF_X0, INF_MESSAGE),
+    (["sweep"], INF_X0, INF_MESSAGE), (["constants"], INF_X0, INF_MESSAGE),
+    (["probe"], INF_X0, INF_MESSAGE), (["calibrate-N"], INF_X0, INF_MESSAGE),
+    (["run", "3"], INF_X0 + "nu_init = optimal\n", INF_MESSAGE),
+    (["sweep"], OVERFLOW_X0, OVERFLOW_MESSAGE), (["run", "3"], OVERFLOW_X0, OVERFLOW_MESSAGE),
 ], ids=["run 3", "run benchmark", "sweep", "constants", "probe", "calibrate-N",
-        "run 3 nu_init=optimal"])
-def test_non_finite_x0_exits_3_at_once(tmp_path, capsys, verbs, extra):
-    # 1e400 parses to inf; the loop would otherwise run the fallback on NaN to
-    # iter_cap.  Every verb ends before the DARE, so nothing is fitted or written
-    conf = write_conf(tmp_path, extra="x0 = [1e400, 0.0]\n" + extra)
+        "run 3 nu_init=optimal", "sweep G x0 overflow", "run 3 G x0 overflow"])
+def test_non_finite_x0_exits_3_at_once(tmp_path, capsys, verbs, extra, message):
+    # 1e400 parses to inf, and G x0 overflows at 1e308; the loop would
+    # otherwise run the fallback on NaN to iter_cap.  Every verb ends before
+    # any fit or solve, with no numpy warning, so nothing is fitted or written
+    conf = write_conf(tmp_path, extra=extra)
     out = tmp_path / "out"
     assert cli.main(["--config", conf, "--out", str(out), *verbs]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "numerical failure: x0 contains non-finite entries\n"
+    assert captured.err == f"numerical failure: {message}\n"
     assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_calibrate_n_never_forms_g_x0(tmp_path, capsys):
+    conf = write_conf(tmp_path, extra=OVERFLOW_X0)
+    assert cli.main(["--config", conf, "--out", str(tmp_path / "cal"), "calibrate-N"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_fit_fingerprint_covers_the_problem_not_the_run(tmp_path):
+    def fingerprint(extra):
+        conf = cli.resolve_config(argparse.Namespace(
+            config=write_conf(tmp_path, extra=extra), seed=None, repeats=None))
+        model, qp, _, _ = cli.build_setup(conf)
+        return cli.fit_fingerprint(conf, model, qp)
+
+    base = fingerprint("")
+    assert base == fingerprint("") and 0 <= base < 2**64
+    # T, x0, the budgets, repeats and nu_init never reach the fit
+    for extra in ("T = 1\n", "x0 = [0.1, -0.2]\n", "ell_list = [1]\n", "repeats = 3\n",
+                  "nu_init = optimal\n"):
+        assert fingerprint(extra) == base, extra
+    for extra in ("A_c = [[0.0, 1.0], [10.0, 0.0]]\n", "B_c = [[0.0], [20.0]]\n",
+                  "Q = [[2.0, 0.0], [0.0, 1.0]]\n", "R = [[2.0]]\n", "N = 4\n",
+                  "u_min = [-0.5]\n", "u_max = [0.5]\n", "r_w = 0.01\n",
+                  "ediss_pairs = 21\n", "ediss_horizon = 21\n", "ediss_holdout = 11\n",
+                  "seed = 1\n"):
+        assert fingerprint(extra) != base, extra
+
+
+def test_sweep_refits_a_fit_of_another_problem(tmp_path, capsys):
+    other, conf = write_conf(tmp_path, extra="R = [[2.0]]\n", name="other"), write_conf(tmp_path)
+    out, fresh = tmp_path / "stale", tmp_path / "fresh"
+    assert cli.main(["--config", other, "--out", str(out), "probe"]) == 0
+    stale = (out / "ediss_fit.txt").read_text()
+    capsys.readouterr()
+    assert cli.main(["--config", conf, "--out", str(out), "sweep"]) == 0
+    err = capsys.readouterr().err
+    assert err == f"{out / 'ediss_fit.txt'} was fitted for another problem; refitting\n"
+    # the refit is the fit a sweep into an empty directory writes
+    assert cli.main(["--config", conf, "--out", str(fresh), "sweep"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "ediss_fit.txt").read_text() == (fresh / "ediss_fit.txt").read_text() != stale
+    assert (out / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
+    # a fit report without a fingerprint is refitted too
+    lines = (fresh / "ediss_fit.txt").read_text().splitlines()
+    (fresh / "ediss_fit.txt").write_text("\n".join(lines[:-1]) + "\n")
+    assert cli.main(["--config", conf, "--out", str(fresh), "sweep"]) == 0
+    assert "was fitted for another problem; refitting" in capsys.readouterr().err
+    assert (fresh / "ediss_fit.txt").read_text() == (out / "ediss_fit.txt").read_text()
+
+
+def test_constants_reports_pending_probe_for_a_fit_of_another_problem(tmp_path, capsys):
+    other, conf = write_conf(tmp_path, extra="seed = 5\n", name="other"), write_conf(tmp_path)
+    out = tmp_path / "stale"
+    assert cli.main(["--config", other, "--out", str(out), "probe"]) == 0
+    stale = (out / "ediss_fit.txt").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["--config", conf, "--out", str(out), "constants"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (f"{out / 'ediss_fit.txt'} was fitted for another problem; "
+                            "M_bar = pending probe\n")
+    assert "M_bar = pending probe" in (out / "constants.txt").read_text()
+    assert (out / "ediss_fit.txt").read_bytes() == stale
+    # the same problem's constants take M_bar from the fit
+    assert cli.main(["--config", other, "--out", str(out), "constants"]) == 0
+    assert capsys.readouterr().err == ""
+    assert "M_bar = pending probe" not in (out / "constants.txt").read_text()
 
 
 def test_sweep_runs_a_budget_past_int64(tmp_path):

@@ -196,3 +196,23 @@ def test_gap_from_csv_round_trip(tmp_path, pend, pend_bench):
     sub = T.read_run_csv(tmp_path / "sub.csv")
     bench = T.read_run_csv(tmp_path / "bench.csv")
     assert T.empirical_gap(sub, bench, pend.Q, pend.R, pend.P) == gap_mem
+
+
+def test_chain_bound_covers_optimizer_errors_on_random_instances(random_instance):
+    # sum d_k <= chain holds for exact minimizers; the measured d_k carry the
+    # reference solve's error, at most tol_benchmark (1 + ||mu*(x_k)||) / (1 - eta)
+    # per step, so the check allows exactly that much and no more
+    rng = np.random.default_rng(41)
+    for i in range(30):
+        model, qp, cfg, K = random_instance(rng)
+        x0 = rng.standard_normal(model.n) * 10.0 ** rng.uniform(-1.0, 1.5)
+        ell = int(rng.choice([1, 2, 3, 6, 20, 100]))
+        nu_init = qp.nu_box.sample(rng, 1)[:, 0] if i % 2 else None
+        run = T.run_tdmpc(model, qp, cfg, x0, ell, 15, nu_init=nu_init, repeats=0)
+        deltas, _, _ = T.path_vectors(run)
+        rv = T.eta_tilde_mpc(cfg.eta, run.ell_schedule)
+        chain = T.chain_bound(rv, T.lipschitz_L(qp), deltas, run.delta_u0_norm)
+        MU = T.solve_benchmark(qp, cfg, run.states[:run.T].T)
+        resolution = float(np.sum(cfg.tol_benchmark * (1.0 + np.linalg.norm(MU, axis=0))
+                                  / (1.0 - cfg.eta)))
+        assert float(np.sum(run.d_norms)) <= chain + resolution, (i, ell)

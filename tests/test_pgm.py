@@ -1,5 +1,6 @@
 """Projected-gradient solver: step size, contraction, fixed points, benchmark stop."""
 
+import collections
 import copy
 from types import SimpleNamespace
 
@@ -280,13 +281,58 @@ def test_active_set_cap_with_capped_fallback_raises(pend):
     assert exc.value.residual > cfg.tol_benchmark
 
 
-# --- grouped active-set solve: same bits as the dict grouping ---
+# --- grouped active-set solve: same bits as a frozen gather-form oracle ---
 
 
-def _dict_active_set(qp, cfg, X, V, seen):
+def _gather_pass(qp, cfg, free, GX, V, bound):
+    """A frozen copy of the active-set pass as it was before it ran on views.
+
+    Boolean-mask copies of H, GX, V and the bounds, the ratio test under
+    np.errstate, np.clip and np.linalg.norm: the reference that the live
+    pass has to match bit for bit.
+    """
+    lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    inv = tdmpc.pgm._free_inverse(qp, free)
+    HF = qp.H[free]
+    p = -inv @ (HF @ V + GX[free])
+    v = V[free]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(p > 0.0, (hi[free] - v) / p,
+                        np.where(p < 0.0, (lo[free] - v) / p, np.inf))
+    t = room.min(axis=0, initial=1.0)
+    V[free] = v + t * p
+    blocked = t < 1.0
+    b = np.flatnonzero(blocked)
+    if b.size:
+        k = room[:, b].argmin(axis=0)
+        i = np.flatnonzero(free)[k]
+        V[i, b] = np.where(p[k, b] > 0.0, hi[i, 0], lo[i, 0])
+        bound[i, b] = True
+    np.clip(V, lo, hi, out=V)
+    f = np.flatnonzero(~blocked)
+    Vf, Gf = V[:, f], GX[:, f]
+    Vf[free] -= inv @ (HF @ Vf + Gf[free])
+    np.clip(Vf, lo, hi, out=Vf)
+    z = Vf - tdmpc.pgm._pgm_steps(qp, cfg, Gf, Vf, 1)
+    V[:, f] = Vf
+    residual = np.full(V.shape[1], np.inf)
+    residual[f] = np.linalg.norm(z, axis=0) / (1.0 + np.linalg.norm(Vf, axis=0))
+    changed = blocked
+    moved = np.where(bound[:, f], np.abs(z), 0.0)
+    worst = moved.argmax(axis=0)
+    release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(f.size)] > 0.0)
+    bound[worst[release], f[release]] = False
+    changed[f[release]] = True
+    return changed, residual
+
+
+def _dict_active_set(qp, cfg, X, V, seen, kinds=None):
     """The active-set solve grouping columns by free-mask bytes in a dict.
 
-    Appends (passes, most groups in one pass) of the call to seen.
+    Every group is gathered, so its arrays are column-major, and every
+    pass is the frozen _gather_pass.  Appends (passes, most groups in one
+    pass) of the call to seen, and counts in kinds the passes with every
+    component free, the blocked columns and the released ones.
     """
     GX = qp.G @ X
     bound = (V <= qp.nu_box.lower[:, None]) | (V >= qp.nu_box.upper[:, None])
@@ -304,7 +350,12 @@ def _dict_active_set(qp, cfg, X, V, seen):
             cols = todo[at]
             Vg, Bg = V[:, cols], bound[:, cols]
             free = np.frombuffer(key, dtype=bool)
-            changed, residual = tdmpc.pgm._active_set_pass(qp, cfg, free, GX[:, cols], Vg, Bg)
+            before = Bg.copy()
+            changed, residual = _gather_pass(qp, cfg, free, GX[:, cols], Vg, Bg)
+            if kinds is not None:
+                kinds["all free"] += bool(free.all())
+                kinds["blocked"] += int((Bg & ~before).any(axis=0).sum())
+                kinds["released"] += int((before & ~Bg).any(axis=0).sum())
             V[:, cols], bound[:, cols] = Vg, Bg
             changes[cols] += changed
             ok[cols] = ~changed & (residual <= cfg.tol_benchmark)
@@ -317,10 +368,10 @@ def _dict_active_set(qp, cfg, X, V, seen):
 def test_grouped_active_set_is_bit_identical_to_dict_grouping(
         pend, random_instance, monkeypatch):
     rng = np.random.default_rng(34)
-    seen = []
+    seen, kinds = [], collections.Counter()
 
     def oracle(*args):
-        return _dict_active_set(*args, seen)
+        return _dict_active_set(*args, seen, kinds)
 
     def solve_both(qp, cfg, X, nu0):
         got = T.solve_benchmark(qp, cfg, X, nu0)
@@ -338,6 +389,7 @@ def test_grouped_active_set_is_bit_identical_to_dict_grouping(
         assert np.array_equal(got, want)
     assert max(passes for passes, _ in seen) > 3  # several working-set changes
     assert max(groups for _, groups in seen) > 3  # several working sets per pass
+    assert min(kinds[k] for k in ("all free", "blocked", "released")) > 0
 
     # an active-set cap reached before convergence: the same fallback, the same raise
     capped = T.PgmConfig(pend.cfg.alpha, pend.cfg.eta, pend.cfg.tol_benchmark, 2)
@@ -367,13 +419,14 @@ def test_one_working_set_is_bit_identical_to_dict_grouping_at_gemm_tails(
     qp = T.build_condensed(model, Q, R, P, 10, box)
     cfg = T.pgm_config(qp)
     assert qp.H.shape == (20, 20)
-    seen = []
+    seen, kinds = [], collections.Counter()
 
     def solve_both(X, nu0):
         X_in, nu0_in = X.copy(), None if nu0 is None else nu0.copy()
         got = T.solve_benchmark(qp, cfg, X, nu0)
         with monkeypatch.context() as m:
-            m.setattr(tdmpc.pgm, "_active_set", lambda *args: _dict_active_set(*args, seen))
+            m.setattr(tdmpc.pgm, "_active_set",
+                      lambda *args: _dict_active_set(*args, seen, kinds))
             want = T.solve_benchmark(qp, cfg, X, nu0)
         assert np.array_equal(got, want)
         assert got.flags.c_contiguous
@@ -394,6 +447,7 @@ def test_one_working_set_is_bit_identical_to_dict_grouping_at_gemm_tails(
         solve_both(X, MU)
     assert all(groups == 1 for _, groups in seen)  # one working set in every pass
     assert max(passes for passes, _ in seen) > 3
+    assert min(kinds[k] for k in ("all free", "blocked", "released")) > 0
 
 
 def test_non_finite_benchmark_solve_raises_without_fallback(pend, monkeypatch):
