@@ -176,7 +176,7 @@ CONFIG_KEYS = {
     "tol_benchmark": (_positive, 1e-12), "iter_cap": (_count(1), 10**6),
     "nu_init": (_choice("zeros", "optimal"), "zeros"), "ell_list": (_ell_list, None),
     "psi_samples": (_count(1), 500), "r_w": (_positive, None),
-    "ediss_pairs": (_count(1), 200), "ediss_horizon": (_count(1), 60),
+    "ediss_pairs": (_count(2), 200), "ediss_horizon": (_count(4), 60),
     "ediss_holdout": (_count(1), 100),
     "contraction_samples": (_count(1), 1000), "contraction_ell_max": (_count(1), 50),
     "lyap_nv": (_count(1), 12), "lyap_samples": (_count(1), 200),

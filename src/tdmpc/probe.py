@@ -43,20 +43,26 @@ class LyapunovError(ProbeError):
 def make_benchmark_evaluator(model, qp, cfg):
     """Batched closed-loop evaluator of the benchmark policy.
 
-    The returned callable maps an (n, batch) array of initial states (or
-    one state (n,), run as one column) to a (horizon+1, n, batch) array of
-    trajectories, optionally adding a per-step additive disturbance of
-    shape (horizon, n, batch).  Solves are warm-started across steps.
+    The returned callable runs an (n, batch) array of initial states (or
+    one state (n,), run as one column) for `horizon` steps, optionally
+    adding a per-step additive disturbance of shape (horizon, n, batch);
+    solves are warm-started across steps.  It returns the stack
+    (horizon+1, ...) of reduce(x_k) over the states x_k (n, batch), each
+    reduced as it comes, so no state history is kept; with reduce=None
+    it returns the trajectories themselves, (horizon+1, n, batch).
     """
 
-    def evaluator(X0, horizon, disturbances=None):
+    def evaluator(X0, horizon, disturbances=None, reduce=None):
         X, _ = _batched(X0, model.n, "initial states")
-        states = np.zeros((horizon + 1,) + X.shape)
-        states[0] = X  # start from this C-ordered copy: G @ X's last bit follows X's layout
+        X = np.array(X, order="C")  # a C-ordered copy: G @ X's last bit follows X's layout
+        reduce = reduce or (lambda x: x)
+        first = reduce(X)
+        out = np.empty((horizon + 1,) + first.shape)
+        out[0] = first
         for k, (_, _, x, _) in enumerate(
-                _benchmark_steps(model, qp, cfg, states[0], horizon, 0, disturbances)):
-            states[k + 1] = x
-        return states
+                _benchmark_steps(model, qp, cfg, X, horizon, 0, disturbances), 1):
+            out[k] = reduce(x)
+        return out
 
     return evaluator
 
@@ -77,16 +83,27 @@ class EdissFit:
         return kv_lines(field_pairs(self))
 
 
-def _pair_deviations(evaluator, Xa, Xb, horizon, disturbances=None):
-    """Deviation norms (horizon+1, pairs) of the pairs (Xa, Xb), simulated
-    in one batch; the disturbances (horizon, n, pairs) drive Xb only."""
-    pairs = Xa.shape[1]
-    W = None
-    if disturbances is not None:
-        W = np.zeros((horizon, Xa.shape[0], 2 * pairs))
-        W[:, :, pairs:] = disturbances
-    S = evaluator(np.hstack([Xa, Xb]), horizon, W)
-    return np.linalg.norm(S[:, :, :pairs] - S[:, :, pairs:], axis=1)
+def _pair_gaps(x):
+    """Deviation norms of the pairs (first half, second half) of the columns of x."""
+    half = x.shape[1] // 2
+    return np.linalg.norm(x[:, :half] - x[:, half:], axis=0)
+
+
+def _holdout_draw(sampler, rng, r_w, W):
+    """Held-out pairs (Xh, Yh) with random disturbances of norm up to r_w.
+
+    The disturbances, which drive Yh only, are written into W (horizon,
+    n, count); returns (Xh, Yh, their per-step norms (horizon, count)).
+    """
+    horizon, n, count = W.shape
+    Xh = sampler(rng, count)
+    Yh = sampler(rng, count)
+    mags = rng.uniform(0.0, r_w, size=(horizon, count))
+    dirs = rng.standard_normal((horizon, n, count))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs *= mags[:, None, :]
+    W[...] = dirs
+    return Xh, Yh, np.linalg.norm(dirs, axis=1)
 
 
 def _pulse_gain(devw, pulse_steps, mags, rho):
@@ -156,52 +173,55 @@ def fit_ediss(evaluator, sampler, rng, r_w, pairs=200, horizon=60,
     deviation.  Phase two injects a single disturbance pulse of size up
     to r_w and reads off the gain c_w.  Phase three validates the fitted
     envelope on held-out pairs driven by full random disturbance
-    sequences; a violated envelope is inflated once and rechecked, and a
-    second failure raises.
+    sequences; a violated envelope is inflated once and rechecked on
+    fresh pairs, and a second failure raises.  The three pair sets are
+    drawn phase by phase and simulated in one evaluator call, which
+    never touches rng, so the stream is the one a call per phase sees.
     """
     if r_w <= 0.0:
         raise EdissFitError(f"disturbance radius must be positive, got {r_w}")
     if pairs < 2 or horizon < 4:
         raise EdissFitError("need at least 2 pairs and a horizon of at least 4")
 
-    # phase one: undisturbed pairs, rate from the tail, c0 over everything
+    # draw the three pair sets in phase order; the batch is
+    # [Xa Xc Xh | Xb Xc Yh], and W, its only disturbance array, drives the
+    # second half
     Xa = sampler(rng, pairs)
     Xb = sampler(rng, pairs)
+    Xc = sampler(rng, pairs)
+    n, width = Xc.shape[0], 2 * pairs + holdout_pairs
+    pulse_steps = rng.integers(0, max(horizon // 2, 1), size=pairs)
+    dirs = rng.standard_normal((n, pairs))
+    dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
+    mags = r_w * rng.uniform(0.5, 1.0, size=pairs)
+    W = np.zeros((horizon, n, 2 * width))
+    W[pulse_steps, :, width + pairs + np.arange(pairs)] = (dirs * mags).T
+    Xh, Yh, wnorms = _holdout_draw(sampler, rng, r_w, W[:, :, width + 2 * pairs:])
+    dev = evaluator(np.hstack([Xa, Xc, Xh, Xb, Xc, Yh]), horizon, W, _pair_gaps)
+
+    # phase one: undisturbed pairs, rate from the tail, c0 over everything
     rho, c0, _ = _geometric_envelope(
-        _pair_deviations(evaluator, Xa, Xb, horizon), EdissFitError,
+        dev[:, :pairs], EdissFitError,
         "sampled trajectory pairs all coincide at the start",
         "benchmark loop is not incrementally contracting",
         lambda rate: min(max(rate, 1e-6), 1.0 - 1e-6),
     )
 
     # phase two: single pulse per pair, gain from the post-pulse response
-    Xc = sampler(rng, pairs)
-    pulse_steps = rng.integers(0, max(horizon // 2, 1), size=pairs)
-    dirs = rng.standard_normal((Xc.shape[0], pairs))
-    dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
-    mags = r_w * rng.uniform(0.5, 1.0, size=pairs)
-    W = np.zeros((horizon, Xc.shape[0], pairs))
-    W[pulse_steps, :, np.arange(pairs)] = (dirs * mags).T
-    c_w = _pulse_gain(_pair_deviations(evaluator, Xc, Xc, horizon, W), pulse_steps, mags, rho)
+    c_w = _pulse_gain(dev[:, pairs:2 * pairs], pulse_steps, mags, rho)
     if c_w <= 0.0:
         raise EdissFitError("disturbance pulses produced no measurable response")
 
-    # phase three: held-out pairs under full disturbance sequences
-    def holdout_violation(c0_try, cw_try):
-        Xh = sampler(rng, holdout_pairs)
-        Yh = sampler(rng, holdout_pairs)
-        mags_h = rng.uniform(0.0, r_w, size=(horizon, holdout_pairs))
-        dirs_h = rng.standard_normal((horizon, Xh.shape[0], holdout_pairs))
-        dirs_h /= np.linalg.norm(dirs_h, axis=1, keepdims=True)
-        Wh = dirs_h * mags_h[:, None, :]
-        devh = _pair_deviations(evaluator, Xh, Yh, horizon, Wh)
-        return _holdout_margins(devh, np.linalg.norm(Wh, axis=1), rho, c0_try, cw_try)
-
-    factor, slack = holdout_violation(c0, c_w)
+    # phase three: held-out pairs under full disturbance sequences; a
+    # retry draws and simulates fresh pairs in a call of its own
+    factor, slack = _holdout_margins(dev[:, 2 * pairs:], wnorms, rho, c0, c_w)
     if factor > 0.0:
         c0 *= factor * 1.01
         c_w *= factor * 1.01
-        factor, slack = holdout_violation(c0, c_w)
+        W = np.zeros((horizon, n, 2 * holdout_pairs))
+        Xh, Yh, wnorms = _holdout_draw(sampler, rng, r_w, W[:, :, holdout_pairs:])
+        dev = evaluator(np.hstack([Xh, Yh]), horizon, W, _pair_gaps)
+        factor, slack = _holdout_margins(dev, wnorms, rho, c0, c_w)
         if factor > 0.0:
             raise EdissFitError(
                 f"held-out trajectories violate the inflated envelope by {factor:.3e}"
@@ -297,7 +317,7 @@ def lyapunov_finite_horizon(evaluator, sampler, rng, N_V, samples=200,
     fit_horizon = max(fit_horizon, N_V + 1)
     X0 = sampler(rng, samples)
     lam, d, norms = _geometric_envelope(
-        np.linalg.norm(evaluator(X0, fit_horizon), axis=1), LyapunovError,
+        evaluator(X0, fit_horizon, reduce=lambda x: np.linalg.norm(x, axis=0)), LyapunovError,
         "all sampled initial states are numerically zero",
         "trajectories do not decay geometrically", lambda rate: max(rate, 1e-6),
     )

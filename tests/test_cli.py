@@ -411,6 +411,30 @@ def test_wrong_length_x0_exits_1_on_every_verb(tmp_path, capsys, verbs):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("extra, shown", [
+    ("ediss_pairs = 1", "'ediss_pairs' must be an integer >= 2"),
+    ("ediss_horizon = 3", "'ediss_horizon' must be an integer >= 4"),
+])
+@pytest.mark.parametrize("verbs", [["constants"], ["calibrate-N"], ["probe"], ["sweep"],
+                                   ["run", "6"], ["run", "benchmark"]], ids=" ".join)
+def test_fit_sizes_below_the_fit_minimum_exit_1_on_every_verb(tmp_path, capsys, verbs,
+                                                               extra, shown):
+    # fit_ediss needs 2 pairs and a horizon of 4; the table says so first
+    conf = write_conf(tmp_path, extra=extra + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", conf, "--out", str(out), *verbs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and shown in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_fit_sizes_at_the_fit_minimum_pass_the_table():
+    conf = cli.checked({"ediss_pairs": 2, "ediss_horizon": 4}, {
+        key: cli.CONFIG_KEYS[key] for key in ("ediss_pairs", "ediss_horizon")})
+    assert conf == {"ediss_pairs": 2, "ediss_horizon": 4}
+
+
 INF_X0 = "x0 = [1e400, 0.0]\n"
 OVERFLOW_X0 = "x0 = [1e308, 1e308]\n"
 INF_MESSAGE = "x0 contains non-finite entries"

@@ -1,12 +1,14 @@
 """Empirical probes: incremental-stability fit, contraction audit, Lyapunov window."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tdmpc as T
-from tdmpc.probe import _holdout_margins, _pair_deviations, _pulse_gain
+from conftest import PendulumSetup
+from tdmpc.probe import _geometric_envelope, _holdout_margins, _pair_gaps, _pulse_gain
 
 
 def linear_map_evaluator(A):
@@ -14,7 +16,7 @@ def linear_map_evaluator(A):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
 
-    def evaluator(X0, horizon, disturbances=None):
+    def evaluator(X0, horizon, disturbances=None, reduce=None):
         X = np.atleast_2d(np.asarray(X0, dtype=float))
         out = np.zeros((horizon + 1, n, X.shape[1]))
         out[0] = X
@@ -22,7 +24,7 @@ def linear_map_evaluator(A):
             out[k + 1] = A @ out[k]
             if disturbances is not None:
                 out[k + 1] = out[k + 1] + disturbances[k]
-        return out
+        return out if reduce is None else np.array([reduce(x) for x in out])
 
     return evaluator
 
@@ -102,28 +104,36 @@ def test_fit_pendulum_benchmark_loop(pend_fit):
     assert any(ln.startswith("rho = 0.9") for ln in lines)
 
 
+def counting_evaluator(evaluator, widths):
+    """evaluator, appending the batch width of each call to widths."""
+    def counting(X0, horizon, disturbances=None, reduce=None):
+        widths.append(X0.shape[1])
+        return evaluator(X0, horizon, disturbances, reduce)
+
+    return counting
+
+
 def test_fit_simulates_each_pair_set_in_one_call():
     widths = []
-    linear = linear_map_evaluator([[0.5]])
-
-    def counting(X0, horizon, disturbances=None):
-        widths.append(X0.shape[1])
-        return linear(X0, horizon, disturbances)
-
+    evaluator = counting_evaluator(linear_map_evaluator([[0.5]]), widths)
     rng = np.random.default_rng(60)
-    T.fit_ediss(counting, box_sampler(1), rng, r_w=0.1, pairs=50, horizon=20, holdout_pairs=30)
-    assert widths == [100, 100, 60]  # one call per pair set, and no holdout retry
+    T.fit_ediss(evaluator, box_sampler(1), rng, r_w=0.1, pairs=50, horizon=20, holdout_pairs=30)
+    assert widths == [260]  # all three pair sets in one call, and no holdout retry
 
 
 def test_pair_deviations_match_separate_simulations(pend_evaluator, pend_sampler):
     # BLAS products may round differently at another batch width, so the
-    # one-batch deviations are pinned to round-off, not to the bit
+    # one-batch deviations, reduced step by step, are pinned to round-off
     rng = np.random.default_rng(70)
     horizon, pairs = 30, 40
     Xa, Xb = pend_sampler(rng, pairs), pend_sampler(rng, pairs)
     W = 0.01 * rng.standard_normal((horizon, 2, pairs))
     for Yb, dist in ((Xb, None), (Xa, W), (Xb, W)):
-        got = _pair_deviations(pend_evaluator, Xa, Yb, horizon, dist)
+        both = None
+        if dist is not None:
+            both = np.zeros((horizon, 2, 2 * pairs))
+            both[:, :, pairs:] = dist
+        got = pend_evaluator(np.hstack([Xa, Yb]), horizon, both, _pair_gaps)
         want = np.linalg.norm(
             pend_evaluator(Xa, horizon) - pend_evaluator(Yb, horizon, dist), axis=1)
         assert got.shape == (horizon + 1, pairs)
@@ -187,6 +197,181 @@ def test_holdout_margins_equal_the_double_loop():
         assert got == holdout_double_loop(devh, wnorms, rho, c0, c_w)
         violated += got[0] > 0.0
     assert 0 < violated < 40  # both outcomes of the check are exercised
+
+
+# --- one batch per fit: the same fit as a frozen phase-by-phase oracle ---
+
+
+def _phase_deviations(evaluator, Xa, Xb, horizon, disturbances=None):
+    """Frozen: deviation norms (horizon+1, pairs) of the pairs (Xa, Xb),
+    from the stored trajectories of one batch; the disturbances
+    (horizon, n, pairs) drive Xb only."""
+    pairs = Xa.shape[1]
+    W = None
+    if disturbances is not None:
+        W = np.zeros((horizon, Xa.shape[0], 2 * pairs))
+        W[:, :, pairs:] = disturbances
+    S = evaluator(np.hstack([Xa, Xb]), horizon, W)
+    return np.linalg.norm(S[:, :, :pairs] - S[:, :, pairs:], axis=1)
+
+
+def _phase_by_phase_fit(evaluator, sampler, rng, r_w, pairs=200, horizon=60,
+                        holdout_pairs=100):
+    """A frozen copy of fit_ediss as it was before the phases shared a batch.
+
+    Each phase draws its pairs and simulates them in an evaluator call of
+    its own, which keeps the whole state history: the reference that the
+    live fit has to match bit for bit, rng stream included.
+    """
+    if r_w <= 0.0:
+        raise T.EdissFitError(f"disturbance radius must be positive, got {r_w}")
+    if pairs < 2 or horizon < 4:
+        raise T.EdissFitError("need at least 2 pairs and a horizon of at least 4")
+
+    Xa = sampler(rng, pairs)
+    Xb = sampler(rng, pairs)
+    rho, c0, _ = _geometric_envelope(
+        _phase_deviations(evaluator, Xa, Xb, horizon), T.EdissFitError,
+        "sampled trajectory pairs all coincide at the start",
+        "benchmark loop is not incrementally contracting",
+        lambda rate: min(max(rate, 1e-6), 1.0 - 1e-6),
+    )
+
+    Xc = sampler(rng, pairs)
+    pulse_steps = rng.integers(0, max(horizon // 2, 1), size=pairs)
+    dirs = rng.standard_normal((Xc.shape[0], pairs))
+    dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
+    mags = r_w * rng.uniform(0.5, 1.0, size=pairs)
+    W = np.zeros((horizon, Xc.shape[0], pairs))
+    W[pulse_steps, :, np.arange(pairs)] = (dirs * mags).T
+    c_w = _pulse_gain(_phase_deviations(evaluator, Xc, Xc, horizon, W), pulse_steps, mags, rho)
+    if c_w <= 0.0:
+        raise T.EdissFitError("disturbance pulses produced no measurable response")
+
+    def holdout_violation(c0_try, cw_try):
+        Xh = sampler(rng, holdout_pairs)
+        Yh = sampler(rng, holdout_pairs)
+        mags_h = rng.uniform(0.0, r_w, size=(horizon, holdout_pairs))
+        dirs_h = rng.standard_normal((horizon, Xh.shape[0], holdout_pairs))
+        dirs_h /= np.linalg.norm(dirs_h, axis=1, keepdims=True)
+        Wh = dirs_h * mags_h[:, None, :]
+        devh = _phase_deviations(evaluator, Xh, Yh, horizon, Wh)
+        return _holdout_margins(devh, np.linalg.norm(Wh, axis=1), rho, c0_try, cw_try)
+
+    factor, slack = holdout_violation(c0, c_w)
+    if factor > 0.0:
+        c0 *= factor * 1.01
+        c_w *= factor * 1.01
+        factor, slack = holdout_violation(c0, c_w)
+        if factor > 0.0:
+            raise T.EdissFitError(
+                f"held-out trajectories violate the inflated envelope by {factor:.3e}"
+            )
+    return T.EdissFit(c0, c_w, rho, r_w, pairs, horizon, slack)
+
+
+def both_fits(evaluator, sampler, seed, r_w, **sizes):
+    """[(fit or error message, rng state after)] of the live fit and the oracle."""
+    out = []
+    for fit in (T.fit_ediss, _phase_by_phase_fit):
+        rng = np.random.default_rng(seed)
+        try:
+            out.append((fit(evaluator, sampler, rng, r_w, **sizes), rng.bit_generator.state))
+        except T.EdissFitError as exc:
+            out.append((str(exc), None))
+    return out
+
+
+@pytest.mark.parametrize("N", [5, 10])
+def test_fit_is_bit_identical_to_phase_by_phase_fit_on_pendulum(N, pend, pend_certs):
+    # the CLI's problem at its default sizes, and at smaller ones
+    if N == pend.N:
+        qp, cfg, r_N = pend.qp, pend.cfg, pend_certs.r_N
+        model, P = pend.model, pend.P
+    else:
+        setup = PendulumSetup(N)
+        model, qp, cfg, P = setup.model, setup.qp, setup.cfg, setup.P
+        r_N = T.compute_certificates(model, qp, cfg, setup.K, rng=np.random.default_rng(11),
+                                     psi_samples=500).r_N
+    evaluator = T.make_benchmark_evaluator(model, qp, cfg)
+
+    def sampler(rng, count):
+        return T.sample_gamma(qp, cfg, r_N, rng, count)
+
+    r_w = 0.01 * r_N * T.spectral_norm(T.mat_inv_sqrt(P))
+    for seed, sizes in ((0, {}), (1, {}), (2, dict(pairs=37, horizon=23, holdout_pairs=11))):
+        (new, new_state), (old, old_state) = both_fits(evaluator, sampler, seed, r_w, **sizes)
+        assert isinstance(new, T.EdissFit) and new == old
+        assert new_state == old_state
+
+
+def test_fit_is_bit_identical_to_phase_by_phase_fit_with_a_retry():
+    widths = []
+    evaluator = counting_evaluator(linear_map_evaluator([[0.0, 1.8], [0.45, 0.0]]), widths)
+    (new, new_state), (old, old_state) = both_fits(
+        evaluator, box_sampler(2), 1, 0.05, pairs=3, horizon=12, holdout_pairs=20)
+    # the live fit, then the oracle; each retried its holdout in a call of its own
+    assert widths == [52, 40, 6, 6, 40, 40]
+    assert isinstance(new, T.EdissFit) and new == old
+    assert new_state == old_state
+
+
+def test_fit_matches_phase_by_phase_fit_on_random_instances(random_instance):
+    # another plant can meet another BLAS kernel: OpenBLAS rounds some
+    # small products (a one-row operand, k = 20) differently with the
+    # batch's width and a column's place in it, so the last bits may move;
+    # the draws, and so the rng stream and the outcome, may not
+    rng = np.random.default_rng(80)
+    for seed in range(16):
+        model, qp, cfg, _ = random_instance(rng)
+        scale = 10.0 ** rng.uniform(-2.0, 1.0)
+        sizes = dict(pairs=int(rng.integers(2, 60)), horizon=int(rng.integers(4, 40)),
+                     holdout_pairs=int(rng.integers(1, 40)))
+        (new, new_state), (old, old_state) = both_fits(
+            T.make_benchmark_evaluator(model, qp, cfg), box_sampler(model.n, scale),
+            seed, 0.01 * scale, **sizes)
+        assert new_state == old_state
+        if isinstance(old, str):
+            assert new == old
+            continue
+        for name in ("c0", "c_w", "rho"):
+            assert getattr(new, name) == pytest.approx(getattr(old, name), rel=1e-12, abs=0.0)
+        assert new.worst_slack == pytest.approx(old.worst_slack, rel=0.0, abs=1e-12)
+        assert (new.r_w, new.pairs, new.horizon) == (old.r_w, old.pairs, old.horizon)
+
+
+def test_fit_errors_match_phase_by_phase_fit():
+    linear = linear_map_evaluator([[0.5]])
+
+    def constant_sampler(rng_, count):
+        return np.ones((1, count))
+
+    def deaf(X0, horizon, disturbances=None, reduce=None):
+        return linear(X0, horizon, None, reduce)
+
+    cases = [
+        (linear_map_evaluator([[1.5]]), box_sampler(1), "not incrementally contracting"),
+        (linear, constant_sampler, "coincide at the start"),
+        (deaf, box_sampler(1), "no measurable response"),
+    ]
+    for evaluator, sampler, shown in cases:
+        (new, _), (old, _) = both_fits(evaluator, sampler, 61, 0.1,
+                                       pairs=20, horizon=12, holdout_pairs=10)
+        assert new == old and shown in new
+
+
+def test_fit_keeps_no_state_history(pend, pend_certs, pend_sampler, pend_evaluator):
+    # at the default sizes the one batch is 1,000 columns wide: its state
+    # history alone, (61, 2, 1000) floats, would be 0.98 MB, and the one
+    # disturbance array is 0.96 MB
+    r_w = 0.01 * pend_certs.r_N * T.spectral_norm(T.mat_inv_sqrt(pend.P))
+    tracemalloc.start()
+    try:
+        T.fit_ediss(pend_evaluator, pend_sampler, np.random.default_rng(7), r_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 # --- contraction audit ---
