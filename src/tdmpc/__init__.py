@@ -30,7 +30,6 @@ from .closed_loop import (
 from .condensed import CondensedQp, build_condensed, cost
 from .gap import (
     GapReport,
-    RateVector,
     build_gap_report,
     chain_bound,
     complexity_term,
@@ -53,6 +52,7 @@ from .numerics import (
 from .pgm import (
     BenchmarkSolveError,
     PgmConfig,
+    certified_rate,
     pgm_config,
     pgm_iterate,
     pgm_step,

@@ -23,7 +23,7 @@ from .numerics import (
     sym_eig,
     weighted_extremes,
 )
-from .pgm import solve_benchmark
+from .pgm import certified_rate, solve_benchmark
 from .report import field_pairs, kv_lines
 
 
@@ -199,7 +199,7 @@ def tau_star(beta, kappa, sigma, omega, eta, ell):
     Returns (tau, eps).  A rate eps >= 1 means ell does not certify
     contraction; the caller decides what to do with it.
     """
-    r = eta ** ell
+    r = certified_rate(eta, ell)
     a = kappa * r
     b = beta - omega * r
     if a > 1e-300:
@@ -214,7 +214,7 @@ def tau_star(beta, kappa, sigma, omega, eta, ell):
 
 def epsilon_rate(beta, kappa, sigma, omega, eta, ell, tau):
     """Combined contraction rate for a given branch weight tau."""
-    r = eta ** ell
+    r = certified_rate(eta, ell)
     if math.isinf(tau):
         return max(beta, omega * r)
     return max(beta + tau * kappa * r, (sigma + tau * omega * r) / tau)

@@ -38,7 +38,7 @@ from .closed_loop import (
 from .condensed import build_condensed
 from .gap import build_gap_report
 from .numerics import NumericsError, mat_inv_sqrt, solve_dare, spectral_norm
-from .pgm import BenchmarkSolveError, pgm_config, solve_benchmark
+from .pgm import BenchmarkSolveError, certified_rate, pgm_config, solve_benchmark
 from .plant import BoxSet, LtiModel
 from .probe import (
     EdissFit,
@@ -320,16 +320,11 @@ def fit_fingerprint(conf, model, qp):
     return int.from_bytes(digest.digest()[:8], "big")
 
 
-def _read_fit(path):
-    """A saved fit report as (EdissFit, its fingerprint or None)."""
+def load_ediss_fit(path):
+    """A saved incremental-stability fit report as (EdissFit, its fingerprint or None)."""
     raw = checked(load_config(path), FIT_KEYS, f"fit report {path}: key")
     fingerprint = raw.pop("fingerprint")
     return EdissFit(**raw), fingerprint
-
-
-def load_ediss_fit(path):
-    """Load a previously written incremental-stability fit report."""
-    return _read_fit(path)[0]
 
 
 def _saved_fit(out_dir, fingerprint, otherwise):
@@ -340,7 +335,7 @@ def _saved_fit(out_dir, fingerprint, otherwise):
     path = os.path.join(out_dir, "ediss_fit.txt")
     if not os.path.exists(path):
         return None, path
-    fit, saved = _read_fit(path)
+    fit, saved = load_ediss_fit(path)
     if saved != fingerprint:
         print(f"{path} was fitted for another problem; {otherwise}", file=sys.stderr)
         return None, path
@@ -476,9 +471,9 @@ def cmd_calibrate_n(conf, out_dir):
     for N in range(1, n_max + 1):
         qp = build_condensed(model, Q, R, P, N, box)
         cfg = pgm_config(qp)
-        pow6 = cfg.eta ** 6
+        pow6 = certified_rate(cfg.eta, 6)
         lines.append(f"N = {N}  eta = {cfg.eta!r}  eta_pow_6 = {pow6!r}")
-        if chosen is None and lo <= pow6 <= hi:
+        if lo <= pow6 <= hi:
             chosen = N
             lines.append(f"chosen_N = {N}")
             break

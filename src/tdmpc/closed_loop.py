@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import NumericsError
-from .pgm import _iteration_count, _pgm_iterate_untimed, pgm_iterate, solve_benchmark
+from .pgm import _budget, _pgm_iterate_untimed, pgm_iterate, solve_benchmark
 
 
 @dataclass(eq=False)
@@ -138,15 +138,13 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1, *,
     """
     x0, T = _check_start(model, x0, T)
     if np.ndim(ell_schedule) == 0:
-        schedule = [_iteration_count(ell_schedule)] * T
+        schedule = [_budget(ell_schedule)] * T
     else:
-        schedule = [_iteration_count(e) for e in ell_schedule]
+        schedule = [_budget(e) for e in ell_schedule]
     if len(schedule) != T:
         raise NumericsError(
             f"iteration schedule has length {len(schedule)}, expected {T}"
         )
-    if any(e < 1 for e in schedule):
-        raise NumericsError("iteration schedule entries must be >= 1")
 
     if nu_init is None:
         nu = np.zeros(qp.H.shape[0])

@@ -20,29 +20,14 @@ import numpy as np
 
 from .closed_loop import cost_JT, path_vectors
 from .numerics import NumericsError
-from .pgm import _iteration_count
-from .report import field_pairs, kv_lines
-
-
-class RateVector:
-    """Per-step rates, their compounded backward weights, and the tail 2-norm."""
-
-    def __init__(self, rates, tilde, bar):
-        self.rates = rates
-        self.tilde = tilde
-        self.bar = bar
-
-    @property
-    def T(self):
-        return self.rates.size
+from .pgm import certified_rate
 
 
 def eta_tilde(rates):
     """Compounded contraction weights for a sequence of per-step rates.
 
     Every rate must lie in [0, 1); the recursion runs backward from the
-    final step.  The bar field is the 2-norm of the weights with index
-    1 and above (zero for a single-step horizon).
+    final step.  Returns the weights, one per rate.
     """
     rates = np.asarray(rates, dtype=float).ravel()
     if rates.size < 1:
@@ -54,25 +39,12 @@ def eta_tilde(rates):
     tilde[T - 1] = rates[T - 1]
     for k in range(T - 2, -1, -1):
         tilde[k] = rates[k] * (1.0 + tilde[k + 1])
-    bar = float(np.linalg.norm(tilde[1:])) if T > 1 else 0.0
-    return RateVector(rates, tilde, bar)
-
-
-# eta ** ell is already exactly 0.0 at ell = 2**63 for every double eta < 1,
-# so larger budgets take this exponent and never overflow a float
-_ELL_CAP = 2**63
+    return tilde
 
 
 def eta_tilde_mpc(eta, ell_schedule):
-    """Compounded weights when step k runs ell_k optimizer iterations.
-
-    Each ell_k must be an integer >= 1.  It enters as a float exponent,
-    capped at _ELL_CAP, so a budget of any size has its rate.
-    """
-    ells = [_iteration_count(ell) for ell in ell_schedule]
-    if any(ell < 1 for ell in ells):
-        raise NumericsError("iteration schedule entries must be >= 1")
-    return eta_tilde(float(eta) ** np.asarray([min(ell, _ELL_CAP) for ell in ells], dtype=float))
+    """Compounded weights when step k runs ell_k optimizer iterations, each an integer >= 1."""
+    return eta_tilde([certified_rate(eta, ell) for ell in ell_schedule])
 
 
 def empirical_gap(run_sub, run_bench, Q, R, P):
@@ -93,24 +65,25 @@ def empirical_gap(run_sub, run_bench, Q, R, P):
     return cost_JT(run_sub, Q, R, P) - cost_JT(run_bench, Q, R, P)
 
 
-def chain_bound(rv, L, deltas, delta_u0_norm):
-    """Cumulative policy-error bound implied by the compounded rates.
+def chain_bound(tilde, L, deltas, delta_u0_norm):
+    """Cumulative policy-error bound implied by the compounded weights tilde.
 
-    deltas carries the realized per-step state motion of the same run
-    (at least T-1 entries).  The bound holds for any trajectory of the
+    tilde holds the T weights of eta_tilde or eta_tilde_mpc; deltas
+    carries the realized per-step state motion of the same run (at least
+    T-1 entries).  The bound holds for any trajectory of the
     loop, stable or not, because it only uses the per-step contraction of
     the optimizer and the Lipschitz dependence of the minimizer on the
     state.
     """
-    T = rv.T
+    T = len(tilde)
     deltas = np.asarray(deltas, dtype=float).ravel()
     if deltas.size < T - 1:
         raise NumericsError(
             f"need at least {T - 1} state-motion entries, got {deltas.size}"
         )
-    total = rv.tilde[0] * float(delta_u0_norm)
+    total = tilde[0] * float(delta_u0_norm)
     if T > 1:
-        total += float(np.sum(L * deltas[:T - 1] * rv.tilde[1:]))
+        total += float(np.sum(L * deltas[:T - 1] * tilde[1:]))
     return total
 
 
@@ -138,9 +111,6 @@ class GapReport:
     L: float
     eta: float
 
-    def to_lines(self):
-        return kv_lines(field_pairs(self))
-
 
 def build_gap_report(run_sub, qp, certs, run_bench=None):
     """Assemble the gap report for a truncated run.
@@ -153,11 +123,9 @@ def build_gap_report(run_sub, qp, certs, run_bench=None):
     if run_sub.ell_schedule is None:
         raise NumericsError("gap report needs a truncated run with an iteration schedule")
     deltas, S_T, S_T2 = path_vectors(run_sub)
-    rv = eta_tilde_mpc(certs.eta, run_sub.ell_schedule)
-    # a Python power, bit for bit the eta ** ell of a constant schedule;
-    # the vectorized power behind rv.rates can differ in the last bit
-    rate_max = certs.eta ** min(int(min(run_sub.ell_schedule)), _ELL_CAP)
-    chain = chain_bound(rv, certs.L, deltas, run_sub.delta_u0_norm)
+    tilde = eta_tilde_mpc(certs.eta, run_sub.ell_schedule)
+    rate_max = certified_rate(certs.eta, min(run_sub.ell_schedule))
+    chain = chain_bound(tilde, certs.L, deltas, run_sub.delta_u0_norm)
     bound = None if certs.M_bar is None else certs.M_bar * chain
     complexity = complexity_term(rate_max, S_T)
     R_T = None

@@ -126,6 +126,31 @@ def _iteration_count(ell):
         raise NumericsError(f"iteration count must be an integer, got {ell!r}") from None
 
 
+def _budget(ell):
+    """A per-step iteration budget as a Python int; NumericsError unless an integer >= 1."""
+    ell = _iteration_count(ell)
+    if ell < 1:
+        raise NumericsError("iteration schedule entries must be >= 1")
+    return ell
+
+
+# eta ** ell is already exactly 0.0 at ell = 2**63 for every double eta < 1,
+# so larger budgets take this exponent and never overflow a float
+_ELL_CAP = 2**63
+
+
+def certified_rate(eta, ell):
+    """The certified per-step rate eta ** ell of a budget of ell iterations.
+
+    ell must be an integer >= 1; budgets past _ELL_CAP take that exponent,
+    so a budget of any size has its rate.  Every rate in the package comes
+    from this one Python power, so the chain of a constant schedule and
+    sweep.csv's eta_pow_ell (rate_max) are the same bits; numpy's
+    vectorized power can differ from it in the last bit.
+    """
+    return eta ** min(_budget(ell), _ELL_CAP)
+
+
 def pgm_iterate(qp, cfg, x, nu, ell):
     """Apply ell projected gradient steps; ell = 0 returns a copy of nu."""
     ell = _iteration_count(ell)

@@ -15,7 +15,7 @@ import numpy as np
 from .closed_loop import _benchmark_steps
 from .condensed import _batched
 from .numerics import NumericsError
-from .pgm import _pgm_steps, solve_benchmark
+from .pgm import _pgm_steps, certified_rate, solve_benchmark
 from .report import field_pairs, kv_lines
 
 
@@ -266,7 +266,7 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
         mask = ells == k
         if np.any(mask):
             num = np.linalg.norm(V[:, mask] - MU[:, mask], axis=0)
-            den = cfg.eta ** k * norm0[mask] + 1e-300
+            den = certified_rate(cfg.eta, k) * norm0[mask] + 1e-300
             ratios[mask] = np.maximum(num - resolution[mask], 0.0) / den
     worst_idx = int(np.argmax(ratios))
     worst = float(ratios[worst_idx])

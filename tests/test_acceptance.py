@@ -149,8 +149,8 @@ def test_cumulative_chain_bound_on_runs(pend, pend_certs):
         run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, ell, pend.T,
                           repeats=0)
         deltas, S_T, S_T2 = T.path_vectors(run)
-        rv = T.eta_tilde_mpc(pend.cfg.eta, run.ell_schedule)
-        chain = T.chain_bound(rv, pend_certs.L, deltas, run.delta_u0_norm)
+        tilde = T.eta_tilde_mpc(pend.cfg.eta, run.ell_schedule)
+        chain = T.chain_bound(tilde, pend_certs.L, deltas, run.delta_u0_norm)
         if float(np.sum(run.d_norms)) > chain * (1.0 + 1e-9):
             violations.append(ell)
     assert not violations
@@ -305,8 +305,8 @@ def test_settled_tail_contributes_nothing(pend):
     moving = np.nonzero(deltas > thresh)[0]
     jbar = int(moving.max()) + 1  # every step from here on is settled
     assert jbar < Tlong - 1
-    rv = T.eta_tilde_mpc(pend.cfg.eta, run.ell_schedule)
-    w = deltas[:Tlong - 1] * rv.tilde[1:]
+    tilde = T.eta_tilde_mpc(pend.cfg.eta, run.ell_schedule)
+    w = deltas[:Tlong - 1] * tilde[1:]
     total = float(np.sum(w))
     tail = float(np.sum(w[jbar:]))
     assert tail <= 1e-8 * total
@@ -314,13 +314,13 @@ def test_settled_tail_contributes_nothing(pend):
     # collapses onto its leading partial sum, bit for bit
     rates = np.full(Tlong, pend.cfg.eta ** ell)
     rates[jbar + 1:] = 0.0
-    rv0 = T.eta_tilde(rates)
+    tilde0 = T.eta_tilde(rates)
     full = 0.0
     for j in range(Tlong - 1):
-        full += deltas[j] * rv0.tilde[j + 1]
+        full += deltas[j] * tilde0[j + 1]
     partial = 0.0
     for j in range(jbar):
-        partial += deltas[j] * rv0.tilde[j + 1]
+        partial += deltas[j] * tilde0[j + 1]
     assert full == partial
     print(
         f"PASS: settled tail (steps {jbar}..{Tlong}) contributes "

@@ -255,7 +255,7 @@ def test_sweep_rows_are_gap_reports(tmp_path):
     conf = cli.resolve_config(argparse.Namespace(config=conf_path, seed=None, repeats=None))
     model, qp, cfg, K = cli.build_setup(conf)
     certs = T.compute_certificates(
-        model, qp, cfg, K, ediss=cli.load_ediss_fit(str(out / "ediss_fit.txt"))
+        model, qp, cfg, K, ediss=cli.load_ediss_fit(str(out / "ediss_fit.txt"))[0]
     )
     x0 = np.asarray(conf["x0"], dtype=float)
     bench = T.run_benchmark(model, qp, cfg, x0, conf["T"], repeats=0)

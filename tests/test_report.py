@@ -30,6 +30,6 @@ def test_ediss_fit_round_trips_through_its_report(tmp_path, pend_fit):
     for i, fit in enumerate(fits):
         path = tmp_path / f"fit{i}.txt"
         path.write_text("\n".join(fit.to_lines()) + "\n")
-        loaded = cli.load_ediss_fit(str(path))
+        loaded = cli.load_ediss_fit(str(path))[0]
         assert field_pairs(loaded) == field_pairs(fit)
         assert [type(v) for _, v in field_pairs(loaded)] == [float] * 4 + [int] * 2 + [float]
