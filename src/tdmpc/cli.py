@@ -434,9 +434,7 @@ def cmd_sweep(conf, out_dir, svg=False):
             "S_T,S_T2,compute_time_s,stable_flag"]
     plot_pts = []
     for ell in ells:
-        # a row reads delta_u0 and the states, never the per-step d_k
-        run = run_tdmpc(model, qp, cfg, x0, ell, T, nu_init=nu0, repeats=repeats,
-                        optimizer_errors=False)
+        run = run_tdmpc(model, qp, cfg, x0, ell, T, nu_init=nu0, repeats=repeats)
         gap = build_gap_report(run, qp, certs, truncate_run(bench, run.T))
         compute_time = float(np.sum(run.solve_times))
         cells = (gap.rate_max, gap.R_T, gap.complexity, gap.bound, gap.S_T, gap.S_T2,

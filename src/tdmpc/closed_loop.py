@@ -5,8 +5,8 @@ applies the first block of the fully converged minimizer mu*(x_k); the
 truncated policy applies ell_k projected gradient steps to the previous
 input sequence, so the applied input carries an optimizer error
 d_k = ||nu_k - mu*(x_k)|| that the suboptimality bounds track.  Each run
-records states, inputs, wall-clock time of the policy and, unless the
-caller opts out, a truncated run's per-step optimizer errors.
+records states, inputs and wall-clock time of the policy; a truncated run
+also records its per-step optimizer errors.
 """
 
 import operator
@@ -24,11 +24,9 @@ class ClosedLoopRun:
     """Record of one closed-loop simulation.
 
     states has one more row than applied; d_norms, warm_gap_norms and
-    ell_schedule are None for benchmark runs, d_norms and warm_gap_norms
-    are None for truncated runs made with optimizer_errors=False, and
-    inputs is None for runs read from CSV.  An unstable run keeps the
-    prefix up to and including the first diverged state and sets
-    aborted_at to its index.
+    ell_schedule are None for benchmark runs, and inputs is None for runs
+    read from CSV.  An unstable run keeps the prefix up to and including
+    the first diverged state and sets aborted_at to its index.
     """
 
     states: np.ndarray
@@ -122,19 +120,18 @@ def run_benchmark(model, qp, cfg, x0, T, repeats=1):
                          np.array(times))
 
 
-def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1, *,
-              optimizer_errors=True):
+def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     """Simulate T steps of the truncated loop with ell_k iterations per step.
 
     ell_schedule is a single positive integer or a length-T sequence.  The
     previous input sequence is reused as the warm start without shifting;
-    nu_init seeds the very first warm start (zero by default).  Each step
-    also records the optimizer error d_k = ||nu_k - mu*(x_k)|| and the
-    warm-start gap ||nu_{k-1} - mu*(x_k)||, both computed outside the
-    timed loop from an instrumentation solve; optimizer_errors=False skips
-    those per-step solves and records both as None.  delta_u0_norm needs
-    only mu*(x_0) and is always recorded.  A state whose norm exceeds
-    1e6 * (1 + ||x0||) aborts the run and marks it unstable.
+    nu_init seeds the very first warm start (zero by default).  A state
+    whose norm exceeds 1e6 * (1 + ||x0||) aborts the run and marks it
+    unstable.  After the loop, one batched reference solve of the visited
+    states x_k, warm-started from nu_{k-1}, gives the optimizer errors
+    d_k = ||nu_k - mu*(x_k)|| and the warm-start gaps ||nu_{k-1} - mu*(x_k)||,
+    the first of which is delta_u0_norm; it runs after the last timed
+    controller call.
     """
     x0, T = _check_start(model, x0, T)
     if np.ndim(ell_schedule) == 0:
@@ -150,30 +147,27 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1, *,
         nu = np.zeros(qp.H.shape[0])
     else:
         nu = qp.nu_box.project(np.asarray(nu_init, dtype=float).ravel().copy())
-    mu = solve_benchmark(qp, cfg, x0, nu)
-    delta_u0 = float(np.linalg.norm(nu - mu))
 
     # untimed runs skip exact repeats of the orbit; timed runs time every step
     iterate = pgm_iterate if repeats else _pgm_iterate_untimed
-    loop = _steps(model, qp, x0, T, repeats,
-                  lambda k, x, nu: iterate(qp, cfg, x, nu, schedule[k]), nu)
-    steps, errors, x, stable = [], [], x0, True
-    for step in loop:
-        if optimizer_errors:
-            if steps:
-                mu = solve_benchmark(qp, cfg, x, nu)
-            errors.append((np.linalg.norm(nu - mu), np.linalg.norm(step[0] - mu)))
+    steps = []
+    for step in _steps(model, qp, x0, T, repeats,
+                       lambda k, x, nu: iterate(qp, cfg, x, nu, schedule[k]), nu):
         steps.append(step)
-        nu, _, x, _ = step
-        if _diverged(x, x0):
-            stable = False
+        if _diverged(step[2], x0):
             break
 
-    inputs, applied, states, times = zip(*steps)
-    warm_gaps, d_norms = map(np.array, zip(*errors)) if optimizer_errors else (None, None)
-    return ClosedLoopRun(np.array((x0,) + states), np.array(inputs), np.array(applied),
-                         np.array(times), d_norms, warm_gaps, schedule[:len(steps)],
-                         delta_u0, stable, None if stable else len(steps))
+    inputs, applied, states, times = map(np.array, zip(*steps))
+    states = np.vstack((x0, states))
+    warm = np.vstack((nu, inputs[:-1]))
+    # C-ordered columns: G @ X rounds its last bit differently with X's layout
+    mu = solve_benchmark(qp, cfg, np.ascontiguousarray(states[:-1].T),
+                         np.ascontiguousarray(warm.T)).T
+    warm_gaps = np.linalg.norm(warm - mu, axis=1)
+    stable = not _diverged(states[-1], x0)
+    return ClosedLoopRun(states, inputs, applied, times, np.linalg.norm(inputs - mu, axis=1),
+                         warm_gaps, schedule[:len(steps)], float(warm_gaps[0]), stable,
+                         None if stable else len(steps))
 
 
 def cost_JT(run, Q, R, P):

@@ -98,18 +98,13 @@ def complexity_term(rate, S_T):
 class GapReport:
     """Empirical gap and its certified bounds for one truncated run."""
 
-    T: int
     R_T: float | None
     S_T: float
     S_T2: float
-    delta_u0: float
     rate_max: float
     chain: float
     bound: float | None
     complexity: float
-    M_bar: float | None
-    L: float
-    eta: float
 
 
 def build_gap_report(run_sub, qp, certs, run_bench=None):
@@ -131,5 +126,4 @@ def build_gap_report(run_sub, qp, certs, run_bench=None):
     R_T = None
     if run_bench is not None:
         R_T = empirical_gap(run_sub, run_bench, qp.Q, qp.R, qp.P)
-    return GapReport(run_sub.T, R_T, S_T, S_T2, run_sub.delta_u0_norm, rate_max,
-                     chain, bound, complexity, certs.M_bar, certs.L, certs.eta)
+    return GapReport(R_T, S_T, S_T2, rate_max, chain, bound, complexity)

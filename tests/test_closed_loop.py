@@ -5,6 +5,7 @@ import pytest
 
 import tdmpc as T
 import tdmpc.closed_loop as closed_loop
+import tdmpc.pgm as pgm
 
 
 def test_benchmark_from_origin_stays_at_origin(pend):
@@ -294,48 +295,132 @@ def test_truncate_prefix_of_aborted_run():
     assert T.truncate_run(run, run.T).aborted_at == run.T
 
 
-@pytest.mark.parametrize("case", ["constant", "mixed_optimal_init", "diverging"])
-def test_run_without_optimizer_errors_matches_default(tmp_path, pend, pend_certs,
-                                                      pend_bench, case):
-    # optimizer_errors=False drops the per-step reference solves and
-    # nothing else: every other field keeps its bytes, and so does the gap report
-    if case == "diverging":
-        model, qp, cfg, K = _diverging_setup()
-        certs = T.compute_certificates(model, qp, cfg, K)
-        x0, schedule, horizon, kwargs, bench = np.array([1.0]), 1, 60, {}, None
+def _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init=None):
+    """A frozen copy of run_tdmpc as it was when it solved mu*(x_k) inside its loop.
+
+    One single-column reference solve per step, between the controller
+    calls: mu*(x_0) warm-started from the first warm start before the
+    loop, then mu*(x_k) from nu_{k-1}.  The untimed kernel steps the
+    controller, as in a run with repeats = 0.  The reference that the one
+    batched solve after the loop has to match within the reference
+    resolution; returns the run and the minimizers it solved.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    schedule = [schedule] * horizon if np.ndim(schedule) == 0 else list(schedule)
+    if nu_init is None:
+        nu = np.zeros(qp.H.shape[0])
     else:
-        model, qp, cfg, certs, x0 = pend.model, pend.qp, pend.cfg, pend_certs, pend.x0
-        if case == "constant":
-            schedule, horizon, kwargs = 6, pend.T, {}
-        else:
-            schedule, horizon = [5, 10, 1, 7], 4
-            kwargs = {"nu_init": T.solve_benchmark(qp, cfg, x0)}
-        bench = pend_bench
-    full = T.run_tdmpc(model, qp, cfg, x0, schedule, horizon, repeats=0, **kwargs)
-    lean = T.run_tdmpc(model, qp, cfg, x0, schedule, horizon, repeats=0,
-                       optimizer_errors=False, **kwargs)
-    assert full.stable == (case != "diverging")
-    for field in ("states", "inputs", "applied", "solve_times", "ell_schedule",
-                  "delta_u0_norm"):
-        a, b = getattr(full, field), getattr(lean, field)
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
-    assert lean.ell_schedule == full.ell_schedule
-    assert (lean.stable, lean.aborted_at) == (full.stable, full.aborted_at)
-    assert full.d_norms is not None and full.warm_gap_norms is not None
-    assert lean.d_norms is None and lean.warm_gap_norms is None
+        nu = qp.nu_box.project(np.asarray(nu_init, dtype=float).ravel().copy())
+    mu = T.solve_benchmark(qp, cfg, x0, nu)
+    delta_u0 = float(np.linalg.norm(nu - mu))
+    x, steps, errors, mus, stable = x0, [], [], [], True
+    for k in range(horizon):
+        if steps:
+            mu = T.solve_benchmark(qp, cfg, x, nu)
+        nu_k = pgm._pgm_iterate_untimed(qp, cfg, x, nu, schedule[k])
+        errors.append((np.linalg.norm(nu - mu), np.linalg.norm(nu_k - mu)))
+        mus.append(mu)
+        nu = nu_k
+        u = qp.S @ nu
+        x = model.step(x, u)
+        steps.append((nu, u, x, 0.0))
+        if np.linalg.norm(x) > 1e6 * (1.0 + float(np.linalg.norm(x0))):
+            stable = False
+            break
+    inputs, applied, states, times = zip(*steps)
+    warm_gaps, d_norms = map(np.array, zip(*errors))
+    run = T.ClosedLoopRun(np.array((x0,) + states), np.array(inputs), np.array(applied),
+                          np.array(times), d_norms, warm_gaps, schedule[:len(steps)],
+                          delta_u0, stable, None if stable else len(steps))
+    return run, np.array(mus)
 
-    T.write_run_csv(lean, tmp_path / "lean.csv")
-    assert "norm_d_k" not in (tmp_path / "lean.csv").read_text().splitlines()[0]
-    back = T.read_run_csv(tmp_path / "lean.csv")
-    assert back.d_norms is None
-    for field in ("states", "applied", "solve_times"):
-        assert getattr(back, field).tobytes() == getattr(lean, field).tobytes()
 
-    if bench is not None:
-        bench = T.truncate_run(bench, full.T)
-    reports = [T.build_gap_report(r, qp, certs, bench) for r in (full, lean)]
-    fields = [{k: repr(v) for k, v in vars(r).items()} for r in reports]
-    assert fields[0] == fields[1]
+def _check_against_per_step_oracle(monkeypatch, model, qp, cfg, x0, schedule, horizon,
+                                   nu_init=None, repeats=(0,)):
+    """run_tdmpc against _per_step_run, and the order of its solver calls.
+
+    Every field but the three error fields keeps its bytes; the errors
+    agree within the reference resolution tol_benchmark (1 + ||mu||) / (1 - eta)
+    plus rounding, and contract at eta ** ell_k per step up to that
+    resolution.  Counters on the controller iterate and on closed_loop's
+    solve_benchmark see one batched solve per run, after the last
+    controller call, whether the run is timed or not.
+    """
+    want, mus = _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init)
+    events = []
+    solve = closed_loop.solve_benchmark
+
+    def counting(kernel):
+        def call(qp, cfg, x, nu, ell):
+            events.append("controller")
+            return kernel(qp, cfg, x, nu, ell)
+        return call
+
+    def counting_solve(qp, cfg, x, nu0=None):
+        events.append(("reference", np.shape(x)))
+        return solve(qp, cfg, x, nu0)
+
+    monkeypatch.setattr(closed_loop, "pgm_iterate", counting(closed_loop.pgm_iterate))
+    monkeypatch.setattr(closed_loop, "_pgm_iterate_untimed",
+                        counting(closed_loop._pgm_iterate_untimed))
+    monkeypatch.setattr(closed_loop, "solve_benchmark", counting_solve)
+    for r in repeats:
+        events.clear()
+        got = T.run_tdmpc(model, qp, cfg, x0, schedule, horizon, nu_init=nu_init, repeats=r)
+        assert events == ["controller"] * (got.T * max(r, 1)) + [
+            ("reference", (model.n, got.T))]
+        for field in ("states", "inputs", "applied"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.ell_schedule, got.stable, got.aborted_at) == (
+            want.ell_schedule, want.stable, want.aborted_at)
+        if r == 0:
+            assert got.solve_times.tobytes() == want.solve_times.tobytes()
+        res = cfg.tol_benchmark * (1.0 + np.linalg.norm(mus, axis=1)) / (1.0 - cfg.eta)
+        slack = res + 1e-13 * (1.0 + np.linalg.norm(want.inputs, axis=1))
+        for field in ("d_norms", "warm_gap_norms"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == float and a.shape == (got.T,)
+            assert np.all(np.abs(a - b) <= slack), field
+        assert abs(got.delta_u0_norm - want.delta_u0_norm) <= slack[0]
+        assert got.delta_u0_norm == got.warm_gap_norms[0]
+        # ||nu_k - mu|| <= rate ||nu_{k-1} - mu|| for the exact mu; a reference
+        # that is res off adds at most (1 + rate) res
+        rate = np.array([cfg.eta ** e for e in got.ell_schedule])
+        assert np.all(got.d_norms <= rate * got.warm_gap_norms * (1.0 + 1e-9)
+                      + (1.0 + rate) * res)
+
+
+@pytest.mark.parametrize("case", ["constant", "mixed_optimal_init", "diverging"])
+def test_batched_errors_match_per_step_oracle(monkeypatch, pend, case):
+    # the errors come from one batched solve after the loop; the frozen
+    # per-step loop gives the same run and the same errors within the resolution
+    if case == "diverging":
+        model, qp, cfg, _ = _diverging_setup()
+        args = (np.array([1.0]), 1, 60)
+    else:
+        model, qp, cfg = pend.model, pend.qp, pend.cfg
+        args = (pend.x0, 6, pend.T) if case == "constant" else (pend.x0, [5, 10, 1, 7], 4)
+    nu_init = T.solve_benchmark(qp, cfg, pend.x0) if case == "mixed_optimal_init" else None
+    _check_against_per_step_oracle(monkeypatch, model, qp, cfg, *args, nu_init=nu_init,
+                                   repeats=(0, 1))
+    if case == "diverging":
+        assert T.run_tdmpc(model, qp, cfg, *args, repeats=0).aborted_at is not None
+
+
+def test_batched_errors_match_per_step_oracle_on_random_instances(monkeypatch,
+                                                                  random_instance):
+    # ten seeded instances, the last of them with dim(H) = N m = 20
+    rng = np.random.default_rng(43)
+    instances = [random_instance(rng) for _ in range(9)]
+    wide = random_instance(rng)
+    while wide[1].H.shape[0] != 20:
+        wide = random_instance(rng)
+    for i, (model, qp, cfg, _) in enumerate(instances + [wide]):
+        x0 = rng.standard_normal(model.n) * 10.0 ** rng.uniform(-1.0, 1.5)
+        schedule = [int(e) for e in rng.choice([1, 2, 3, 6, 20, 100], size=15)]
+        nu_init = qp.nu_box.sample(rng, 1)[:, 0] if i % 2 else None
+        _check_against_per_step_oracle(monkeypatch, model, qp, cfg, x0, schedule, 15,
+                                       nu_init=nu_init)
 
 
 @pytest.mark.parametrize("repeats", [0, 1])

@@ -172,7 +172,7 @@ def test_chain_bound_covers_measured_errors(pend, pend_certs):
 def test_build_gap_report_fields(pend, pend_certs, pend_bench, pend_fit):
     run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 40, pend.T, repeats=0)
     report = T.build_gap_report(run, pend.qp, pend_certs, run_bench=pend_bench)
-    assert report.T == pend.T
+    assert run.T == pend.T
     assert report.bound is None  # no combined cost constant without a fit
     assert report.R_T is not None
     # one certified rate: the chain's weight and sweep.csv's rate cell are
@@ -184,7 +184,7 @@ def test_build_gap_report_fields(pend, pend_certs, pend_bench, pend_fit):
         psi_samples=50, ediss=pend_fit,
     )
     report = T.build_gap_report(run, pend.qp, certs, run_bench=pend_bench)
-    assert report.bound == pytest.approx(report.M_bar * report.chain, rel=1e-12)
+    assert report.bound == pytest.approx(certs.M_bar * report.chain, rel=1e-12)
     assert report.R_T <= report.bound
     report_nobench = T.build_gap_report(run, pend.qp, certs)
     assert report_nobench.R_T is None
@@ -200,7 +200,7 @@ def test_gap_from_csv_round_trip(tmp_path, pend, pend_bench):
     assert T.empirical_gap(sub, bench, pend.Q, pend.R, pend.P) == gap_mem
 
 
-def test_chain_bound_covers_optimizer_errors_on_random_instances(random_instance):
+def test_chain_bound_covers_measured_errors_on_random_instances(random_instance):
     # sum d_k <= chain holds for exact minimizers; the measured d_k carry the
     # reference solve's error, at most tol_benchmark (1 + ||mu*(x_k)||) / (1 - eta)
     # per step, so the check allows exactly that much and no more
