@@ -25,8 +25,7 @@ class ClosedLoopRun:
 
     states has one more row than applied; d_norms, warm_gap_norms and
     ell_schedule are None for benchmark runs, and inputs is None for runs
-    read from CSV.  An unstable run keeps the prefix up to and including
-    the first diverged state and sets aborted_at to its index.
+    read from CSV.
     """
 
     states: np.ndarray
@@ -37,12 +36,15 @@ class ClosedLoopRun:
     warm_gap_norms: np.ndarray = None
     ell_schedule: list = None
     delta_u0_norm: float = None
-    stable: bool = True
-    aborted_at: int = None
 
     @property
     def T(self):
         return self.applied.shape[0]
+
+    @property
+    def stable(self):
+        """Whether the last state passes the divergence guard, which ends a truncated run."""
+        return not _diverged(self.states[-1], self.states[0])
 
 
 def _timed_loop(fn, repeats):
@@ -126,12 +128,11 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     ell_schedule is a single positive integer or a length-T sequence.  The
     previous input sequence is reused as the warm start without shifting;
     nu_init seeds the very first warm start (zero by default).  A state
-    whose norm exceeds 1e6 * (1 + ||x0||) aborts the run and marks it
-    unstable.  After the loop, one batched reference solve of the visited
-    states x_k, warm-started from nu_{k-1}, gives the optimizer errors
-    d_k = ||nu_k - mu*(x_k)|| and the warm-start gaps ||nu_{k-1} - mu*(x_k)||,
-    the first of which is delta_u0_norm; it runs after the last timed
-    controller call.
+    that trips the divergence guard ends the run.  After the loop, one
+    batched reference solve of the visited states x_k, warm-started from
+    nu_{k-1}, gives the optimizer errors d_k = ||nu_k - mu*(x_k)|| and the
+    warm-start gaps ||nu_{k-1} - mu*(x_k)||, the first of which is
+    delta_u0_norm; it runs after the last timed controller call.
     """
     x0, T = _check_start(model, x0, T)
     if np.ndim(ell_schedule) == 0:
@@ -160,14 +161,10 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     inputs, applied, states, times = map(np.array, zip(*steps))
     states = np.vstack((x0, states))
     warm = np.vstack((nu, inputs[:-1]))
-    # C-ordered columns: G @ X rounds its last bit differently with X's layout
-    mu = solve_benchmark(qp, cfg, np.ascontiguousarray(states[:-1].T),
-                         np.ascontiguousarray(warm.T)).T
+    mu = solve_benchmark(qp, cfg, states[:-1].T, warm.T).T
     warm_gaps = np.linalg.norm(warm - mu, axis=1)
-    stable = not _diverged(states[-1], x0)
     return ClosedLoopRun(states, inputs, applied, times, np.linalg.norm(inputs - mu, axis=1),
-                         warm_gaps, schedule[:len(steps)], float(warm_gaps[0]), stable,
-                         None if stable else len(steps))
+                         warm_gaps, schedule[:len(steps)], float(warm_gaps[0]))
 
 
 def cost_JT(run, Q, R, P):
@@ -197,19 +194,13 @@ def path_vectors(run):
 
 
 def truncate_run(run, T):
-    """Prefix of a run with T applied inputs; used to compare against a shorter run.
-
-    A prefix that ends before the diverged state of an aborted run is
-    stable; one that includes that state keeps stable and aborted_at.
-    """
+    """Prefix of a run with T applied inputs; used to compare against a shorter run."""
     if T > run.T:
         raise NumericsError(f"cannot truncate a {run.T}-step run to {T} steps")
     per_step = ("states", "inputs", "applied", "solve_times", "d_norms",
                 "warm_gap_norms", "ell_schedule")
     fields = {f: v[:T + 1 if f == "states" else T] for f in per_step
               if (v := getattr(run, f)) is not None}
-    if run.aborted_at is not None and T < run.aborted_at:
-        fields.update(stable=True, aborted_at=None)
     return replace(run, **fields)
 
 
@@ -235,9 +226,7 @@ def read_run_csv(path):
 
     Only states, applied inputs, optimizer errors and solve times survive a
     round trip; full input sequences and the iteration schedule are not
-    stored in the CSV.  The divergence guard stops a run at its first
-    diverged state, so a last state that trips the guard against the
-    first marks the run unstable and aborted at its last step.
+    stored in the CSV.
     """
     with open(path) as fh:
         header, *rows = [ln.strip().split(",") for ln in fh if ln.strip()]
@@ -246,6 +235,5 @@ def read_run_csv(path):
     m = sum(1 for h in header if h.startswith("u_applied_"))
     states, steps = table[:, 1:1 + n].copy(), table[:-1]
     d_norms = steps[:, header.index("norm_d_k")].copy() if "norm_d_k" in header else None
-    stable = not _diverged(states[-1], states[0])
     return ClosedLoopRun(states, None, steps[:, 1 + n:1 + n + m].copy(), steps[:, -1].copy(),
-                         d_norms, stable=stable, aborted_at=None if stable else steps.shape[0])
+                         d_norms)

@@ -97,7 +97,7 @@ def build_condensed(model, Q, R, P, N, u_box):
 
 
 def _batched(v, dim, name):
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float, order="C")  # G @ X rounds its last bit with X's layout
     if v.shape[:1] != (dim,):
         lead = v.shape[0] if v.ndim else "none"
         raise NumericsError(f"{name} has leading dimension {lead}, expected {dim}")

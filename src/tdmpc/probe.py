@@ -54,7 +54,6 @@ def make_benchmark_evaluator(model, qp, cfg):
 
     def evaluator(X0, horizon, disturbances=None, reduce=None):
         X, _ = _batched(X0, model.n, "initial states")
-        X = np.array(X, order="C")  # a C-ordered copy: G @ X's last bit follows X's layout
         reduce = reduce or (lambda x: x)
         first = reduce(X)
         out = np.empty((horizon + 1,) + first.shape)

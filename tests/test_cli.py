@@ -269,6 +269,17 @@ def test_sweep_rows_are_gap_reports(tmp_path):
     assert rows[1][1] == repr(certs.eta ** 40)
 
 
+def test_diverging_run_benchmark_prints_stable_0(tmp_path, capsys):
+    # the saturated benchmark loop diverges from x0 = [3, 0]; its flag
+    # follows its last state, as the CSV it writes does
+    conf = write_conf(tmp_path, extra="T = 60\nx0 = [3.0, 0.0]\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", conf, "--out", str(out), "run", "benchmark"]) == 0
+    text = capsys.readouterr().out
+    assert "steps = 60" in text and "stable = 0" in text
+    assert not T.read_run_csv(str(out / "run_benchmark.csv")).stable
+
+
 def test_sweep_deterministic_across_directories(tmp_path):
     conf = write_conf(tmp_path)
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -380,9 +391,10 @@ def test_sweep_timing_changes_only_compute_time(tmp_path):
 
 
 def test_sweep_skips_per_step_reference_solves(tmp_path, monkeypatch):
-    # sweep.csv never reads d_k, so a sweep's truncated runs solve mu*(x_0)
-    # only; the second sweep reuses the saved fit, so every remaining solve
-    # is the certificates', the benchmark run's or a run's first step
+    # each truncated run solves mu*(x_k) of its visited states in one
+    # batched call; the second sweep reuses the saved fit, so every
+    # remaining solve is the certificates', the benchmark run's or one
+    # run's batched call
     conf = write_conf(tmp_path, extra="T = 3\nell_list = [3, 40]\n")
     out = tmp_path / "counted"
     assert cli.main(["--config", conf, "--out", str(out), "sweep"]) == 0

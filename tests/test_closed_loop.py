@@ -53,7 +53,7 @@ def test_tdmpc_optimizer_error_contracts_per_step(pend):
     rate = pend.cfg.eta ** ell
     assert np.all(run.d_norms <= rate * run.warm_gap_norms * (1.0 + 1e-9) + 1e-15)
     assert run.ell_schedule == [ell] * 15
-    assert run.stable and run.aborted_at is None
+    assert run.stable and run.T == 15
 
 
 def test_tdmpc_first_step_deviation_is_cold_start_minimizer(pend):
@@ -84,8 +84,8 @@ def test_divergence_guard_truncates_run():
     cfg = T.pgm_config(qp)
     run = T.run_tdmpc(model, qp, cfg, np.array([1.0]), 1, 60, repeats=0)
     assert not run.stable
-    assert run.aborted_at is not None
-    assert run.T == run.aborted_at
+    assert run.T < 60
+    assert not closed_loop._diverged(run.states[-2], run.states[0])
     assert run.states.shape[0] == run.T + 1
     assert np.linalg.norm(run.states[-1]) > 1e6
     deltas, S_T, S_T2 = T.path_vectors(run)
@@ -280,19 +280,20 @@ def _diverging_setup():
 
 def test_truncate_prefix_of_aborted_run():
     # a prefix that ends before the diverged state is stable; one that
-    # includes it keeps stable and aborted_at
+    # includes it is not
     whole = T.ClosedLoopRun(
         np.array([[1.0], [2.0], [4.0], [1e9]]), np.zeros((3, 2)), np.zeros((3, 1)),
-        np.zeros(3), np.ones(3), np.ones(3), [1, 1, 1], 1.0, False, 3)
+        np.zeros(3), np.ones(3), np.ones(3), [1, 1, 1], 1.0)
+    assert not whole.stable
     for steps in (1, 2):
         short = T.truncate_run(whole, steps)
-        assert short.T == steps and short.stable and short.aborted_at is None
+        assert short.T == steps and short.stable
     short = T.truncate_run(whole, 3)
-    assert not short.stable and short.aborted_at == 3
+    assert short.T == 3 and not short.stable
     model, qp, cfg, _ = _diverging_setup()
     run = T.run_tdmpc(model, qp, cfg, np.array([1.0]), 1, 60, repeats=0)
     assert T.truncate_run(run, run.T - 1).stable
-    assert T.truncate_run(run, run.T).aborted_at == run.T
+    assert not T.truncate_run(run, run.T).stable
 
 
 def _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init=None):
@@ -303,7 +304,8 @@ def _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init=None):
     loop, then mu*(x_k) from nu_{k-1}.  The untimed kernel steps the
     controller, as in a run with repeats = 0.  The reference that the one
     batched solve after the loop has to match within the reference
-    resolution; returns the run and the minimizers it solved.
+    resolution; returns the run, the minimizers it solved and its own
+    divergence flag, which the run's stable property has to match.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     schedule = [schedule] * horizon if np.ndim(schedule) == 0 else list(schedule)
@@ -331,8 +333,8 @@ def _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init=None):
     warm_gaps, d_norms = map(np.array, zip(*errors))
     run = T.ClosedLoopRun(np.array((x0,) + states), np.array(inputs), np.array(applied),
                           np.array(times), d_norms, warm_gaps, schedule[:len(steps)],
-                          delta_u0, stable, None if stable else len(steps))
-    return run, np.array(mus)
+                          delta_u0)
+    return run, np.array(mus), stable
 
 
 def _check_against_per_step_oracle(monkeypatch, model, qp, cfg, x0, schedule, horizon,
@@ -346,7 +348,7 @@ def _check_against_per_step_oracle(monkeypatch, model, qp, cfg, x0, schedule, ho
     solve_benchmark see one batched solve per run, after the last
     controller call, whether the run is timed or not.
     """
-    want, mus = _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init)
+    want, mus, stable = _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init)
     events = []
     solve = closed_loop.solve_benchmark
 
@@ -371,8 +373,8 @@ def _check_against_per_step_oracle(monkeypatch, model, qp, cfg, x0, schedule, ho
             ("reference", (model.n, got.T))]
         for field in ("states", "inputs", "applied"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert (got.ell_schedule, got.stable, got.aborted_at) == (
-            want.ell_schedule, want.stable, want.aborted_at)
+        assert got.ell_schedule == want.ell_schedule
+        assert got.stable is stable
         if r == 0:
             assert got.solve_times.tobytes() == want.solve_times.tobytes()
         res = cfg.tol_benchmark * (1.0 + np.linalg.norm(mus, axis=1)) / (1.0 - cfg.eta)
@@ -404,7 +406,8 @@ def test_batched_errors_match_per_step_oracle(monkeypatch, pend, case):
     _check_against_per_step_oracle(monkeypatch, model, qp, cfg, *args, nu_init=nu_init,
                                    repeats=(0, 1))
     if case == "diverging":
-        assert T.run_tdmpc(model, qp, cfg, *args, repeats=0).aborted_at is not None
+        run = T.run_tdmpc(model, qp, cfg, *args, repeats=0)
+        assert not run.stable and run.T < 60
 
 
 def test_batched_errors_match_per_step_oracle_on_random_instances(monkeypatch,
@@ -428,14 +431,26 @@ def test_csv_round_trip_keeps_divergence(tmp_path, repeats):
     # the guard stops a run at its first diverged state, the last row of its CSV
     model, qp, cfg, _ = _diverging_setup()
     run = T.run_tdmpc(model, qp, cfg, np.array([1.0]), 1, 60, repeats=repeats)
-    assert not run.stable and run.aborted_at == run.T
+    assert not run.stable and run.T < 60
     T.write_run_csv(run, tmp_path / "run.csv")
     back = T.read_run_csv(tmp_path / "run.csv")
-    assert (back.stable, back.aborted_at) == (run.stable, run.aborted_at)
+    assert not back.stable and back.T == run.T
     assert back.states.tobytes() == run.states.tobytes()
     T.write_run_csv(T.truncate_run(run, run.T - 1), tmp_path / "prefix.csv")
     back = T.read_run_csv(tmp_path / "prefix.csv")
-    assert back.stable and back.aborted_at is None
+    assert back.stable and back.T == run.T - 1
+
+
+def test_diverging_benchmark_run_is_unstable(tmp_path, pend):
+    # from x0 = [3, 0] the saturated benchmark loop of the calibrated
+    # pendulum diverges; it runs all T steps, and its last state decides
+    x0 = np.array([3.0, 0.0])
+    bench = T.run_benchmark(pend.model, pend.qp, pend.cfg, x0, 60, repeats=0)
+    assert bench.T == 60 and not bench.stable
+    assert T.truncate_run(bench, 1).stable
+    T.write_run_csv(bench, tmp_path / "bench.csv")
+    back = T.read_run_csv(tmp_path / "bench.csv")
+    assert not back.stable and back.states.tobytes() == bench.states.tobytes()
 
 
 @pytest.mark.parametrize("case", ["constant", "converged", "mixed", "diverging"])
@@ -453,5 +468,5 @@ def test_timed_and_untimed_policies_give_the_same_run(pend, case):
     for field in ("states", "inputs", "applied", "d_norms", "warm_gap_norms"):
         assert getattr(timed, field).tobytes() == getattr(untimed, field).tobytes(), field
     assert timed.ell_schedule == untimed.ell_schedule
-    assert (timed.stable, timed.aborted_at) == (untimed.stable, untimed.aborted_at)
+    assert (timed.stable, timed.T) == (untimed.stable, untimed.T)
     assert timed.stable == (case != "diverging")
