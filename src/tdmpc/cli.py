@@ -435,7 +435,12 @@ def cmd_sweep(conf, out_dir, svg=False):
     plot_pts = []
     for ell in ells:
         run = run_tdmpc(model, qp, cfg, x0, ell, T, nu_init=nu0, repeats=repeats)
-        gap = build_gap_report(run, qp, certs, truncate_run(bench, run.T))
+        # a diverged benchmark ends early: compare over the common prefix
+        common = min(run.T, bench.T)
+        if common < run.T:
+            print(f"ell = {ell}: benchmark diverged after {bench.T} steps; "
+                  f"gap over the first {common} of {run.T} steps", file=sys.stderr)
+        gap = build_gap_report(truncate_run(run, common), qp, certs, truncate_run(bench, common))
         compute_time = float(np.sum(run.solve_times))
         cells = (gap.rate_max, gap.R_T, gap.complexity, gap.bound, gap.S_T, gap.S_T2,
                  compute_time)

@@ -114,10 +114,22 @@ def _diverged(x, x0):
     return np.linalg.norm(x) > 1e6 * (1.0 + float(np.linalg.norm(x0)))
 
 
+def _until_diverged(steps, x0):
+    """The steps of a loop from x0 up to and including its first diverged state."""
+    for step in steps:
+        yield step
+        if _diverged(step[2], x0):
+            return
+
+
 def run_benchmark(model, qp, cfg, x0, T, repeats=1):
-    """Simulate T steps of the benchmark loop u_k = S mu*(x_k), timing each solve."""
+    """Simulate T steps of the benchmark loop u_k = S mu*(x_k), timing each solve.
+
+    A state that trips the divergence guard ends the run, as in run_tdmpc.
+    """
     x0, T = _check_start(model, x0, T)
-    inputs, applied, states, times = zip(*_benchmark_steps(model, qp, cfg, x0, T, repeats))
+    inputs, applied, states, times = zip(
+        *_until_diverged(_benchmark_steps(model, qp, cfg, x0, T, repeats), x0))
     return ClosedLoopRun(np.array((x0,) + states), np.array(inputs), np.array(applied),
                          np.array(times))
 
@@ -151,12 +163,9 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
 
     # untimed runs skip exact repeats of the orbit; timed runs time every step
     iterate = pgm_iterate if repeats else _pgm_iterate_untimed
-    steps = []
-    for step in _steps(model, qp, x0, T, repeats,
-                       lambda k, x, nu: iterate(qp, cfg, x, nu, schedule[k]), nu):
-        steps.append(step)
-        if _diverged(step[2], x0):
-            break
+    steps = list(_until_diverged(
+        _steps(model, qp, x0, T, repeats, lambda k, x, nu: iterate(qp, cfg, x, nu, schedule[k]),
+               nu), x0))
 
     inputs, applied, states, times = map(np.array, zip(*steps))
     states = np.vstack((x0, states))

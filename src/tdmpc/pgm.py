@@ -10,10 +10,12 @@ form nu <- P(M nu + c), with M = I - 2 alpha H cached per problem and
 step size and c = -2 alpha G x formed once per call: the same map, whose
 iterates differ from the gradient form's only by rounding.
 
-The reference minimizer mu*(x) itself comes from an exact primal
-active-set solve, accepted only with a certificate on the fixed-point
-residual of that iteration; the iteration run to convergence is its
-fallback and its test oracle.
+The reference minimizer mu*(x) itself comes from a chain of three
+solves, each accepting only the columns that pass one certificate on the
+fixed-point residual of that iteration: the unconstrained minimizer
+-H^{-1} G x where it lies strictly inside the box, an exact primal
+active-set solve for the rest, and the iteration run to convergence as
+the last fallback and the test oracle.
 """
 
 import operator
@@ -201,16 +203,13 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     the certificate fails, a bound that the step moves has a multiplier
     of the wrong sign, and the one it moves most leaves the working set.
     Updates V and bound in place; returns the columns that changed their
-    working set and the scaled fixed-point residual of the others.  With
-    every component free the rows are indexed by a slice, so H, GX, V and
-    the bounds are read and written as views, not mask copies.
+    working set and the scaled fixed-point residual of the others.
     """
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
     inv = _free_inverse(qp, free)
-    sel = slice(None) if free.all() else free
-    HF, lf, hf = qp.H[sel], lo[sel], hi[sel]
-    p = -inv @ (HF @ V + GX[sel])
-    v = V[sel]
+    HF, lf, hf = qp.H[free], lo[free], hi[free]
+    p = -inv @ (HF @ V + GX[free])
+    v = V[free]
     # ratio test: room to the bound that p moves toward, inf where p is 0 or NaN
     up = p > 0.0
     room = np.full(p.shape, np.inf)
@@ -218,7 +217,7 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     t = room.min(axis=0, initial=1.0)
     # the components in the working set already sit on their bounds, so
     # clipping the free ones before the blocking bounds are set clips all
-    V[sel] = _clip(v + t * p, lf, hf)
+    V[free] = _clip(v + t * p, lf, hf)
     blocked = t < 1.0
     b = np.flatnonzero(blocked)
     if b.size:
@@ -230,7 +229,7 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
         Vf, Gf = V[:, f], GX[:, f]
     else:  # no column blocked: refine V and GX themselves, not copies of them
         f, Vf, Gf = slice(None), V, GX
-    Vf[sel] = _clip(Vf[sel] - inv @ (HF @ Vf + Gf[sel]), lf, hf)
+    Vf[free] = _clip(Vf[free] - inv @ (HF @ Vf + Gf[free]), lf, hf)
     z = Vf - _pgm_steps(qp, cfg, Gf, Vf, 1)
     residual = np.full(V.shape[1], np.inf)
     residual[f] = _norms(z) / (1.0 + _norms(Vf))
@@ -247,69 +246,74 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     return changed, residual
 
 
-def _active_set(qp, cfg, X, V):
+def _active_set(qp, cfg, GX, V):
     """Primal active-set solve (Nocedal & Wright, Alg. 16.3) of every column.
 
-    The initial working set is the set of bounds that the feasible start V
-    touches.  Columns are grouped by working set, so each group shares one
-    cached factor; while every column is pending in one working set, the
-    pass runs on the whole arrays in place.  V stays column-major, the
-    layout that a V[:, cols] gather gives, so both ways hand BLAS the same
-    operands and give the same bits; G X and the bound flags never reach
-    BLAS and keep the layout they are made in.  Returns (V, ok) with V
-    C-ordered: ok marks the columns that finished within cfg.iter_cap
-    working-set changes and whose certificate, the scaled fixed-point
-    residual ||nu - T(nu)|| / (1 + ||nu||) of the projected gradient map
-    T, is at most cfg.tol_benchmark.
+    The second stage of solve_benchmark, which sends it only the columns
+    whose unconstrained minimizer leaves the box or misses the
+    certificate, with their columns of G X.  The initial working set is
+    the set of bounds that the feasible start V touches.  Each pass sorts
+    the pending columns by working set and gathers each group, so the
+    group shares one cached factor and hands BLAS column-major operands.
+    Writes V in place and returns (V, ok): ok marks the columns that
+    finished within cfg.iter_cap working-set changes and whose
+    certificate, the scaled fixed-point residual ||nu - T(nu)|| / (1 + ||nu||)
+    of the projected gradient map T, is at most cfg.tol_benchmark.
     """
     bound = (V <= qp.nu_box.lower[:, None]) | (V >= qp.nu_box.upper[:, None])
-    GX, V = qp.G @ X, np.asfortranarray(V)
     changes = np.zeros(V.shape[1], dtype=int)
     ok = np.zeros(V.shape[1], dtype=bool)
     todo = np.arange(V.shape[1])
     while todo.size:
-        free = ~(bound if todo.size == V.shape[1] else bound[:, todo])
-        if (free == free[:, :1]).all():
-            groups = [np.arange(todo.size)]  # one working set: nothing to sort
-        else:
-            # stable: each group keeps its columns ascending, whatever the group order
-            order = np.lexsort(free[::-1])
-            cuts = np.flatnonzero((free[:, order[1:]] != free[:, order[:-1]]).any(axis=0)) + 1
-            groups = np.split(order, cuts)
+        free = ~bound[:, todo]
+        # stable: each group keeps its columns ascending, whatever the group order
+        order = np.lexsort(free[::-1])
+        cuts = np.flatnonzero((free[:, order[1:]] != free[:, order[:-1]]).any(axis=0)) + 1
         keep = np.zeros(todo.size, dtype=bool)
-        for at in groups:
-            whole = at.size == V.shape[1]  # in place: no gather, no scatter
-            cols = slice(None) if whole else todo[at]
-            Gg, Vg, Bg = (GX, V, bound) if whole else (GX[:, cols], V[:, cols], bound[:, cols])
+        for at in np.split(order, cuts):
+            cols = todo[at]
+            Gg, Vg, Bg = GX[:, cols], V[:, cols], bound[:, cols]
             changed, residual = _active_set_pass(qp, cfg, free[:, at[0]], Gg, Vg, Bg)
-            if not whole:
-                V[:, cols], bound[:, cols] = Vg, Bg
+            V[:, cols], bound[:, cols] = Vg, Bg
             changes[cols] += changed
             ok[cols] = ~changed & (residual <= cfg.tol_benchmark)
             keep[at] = changed & (changes[cols] < cfg.iter_cap)
         todo = todo[keep]
-    return np.ascontiguousarray(V), ok
+    return V, ok
 
 
 def solve_benchmark(qp, cfg, x, nu0=None):
     """The reference minimizer mu*(x), solved exactly and certified.
 
-    Runs a primal active-set solve warm-started from the bounds that the
-    projected nu0 touches (zeros when nu0 is None).  A column is accepted
-    when its scaled fixed-point residual
-    ||nu - P(nu - 2 alpha (H nu + G x))|| / (1 + ||nu||), the KKT residual
-    in projected-gradient units, is at most tol_benchmark.  A column that
-    fails the certificate or reaches iter_cap working-set changes falls
-    back to solve_benchmark_pgm warm-started from the active-set iterate,
-    unless G x or that iterate is not finite, which raises NumericsError.
-    Accepts batched x (n, batch) with nu0 shaped to match and returns a
-    C-ordered array; neither input is written.
+    A chain of three stages; each accepts a column only when its scaled
+    fixed-point residual ||nu - P(nu - 2 alpha (H nu + G x))|| / (1 + ||nu||),
+    the KKT residual in projected-gradient units, is at most
+    tol_benchmark.  First the unconstrained minimizer -H^{-1} G x, the
+    piece of the piecewise-affine mu* with no bound active: accepted
+    where it lies strictly inside the box.  It is clipped before its
+    certificate is taken, which leaves accepted columns unchanged and
+    keeps every norm finite.  Then a primal active-set solve of the other
+    columns, warm-started from the bounds that the projected nu0 touches
+    (zeros when nu0 is None).  A column that fails there or reaches
+    iter_cap working-set changes falls back to solve_benchmark_pgm
+    warm-started from the active-set iterate, unless G x or that iterate
+    is not finite, which raises NumericsError.  Accepts batched x
+    (n, batch) with nu0 shaped to match, checked on every call, and
+    returns a C-ordered array; neither input is written.
     """
     X, sx = _batched(x, qp.W.shape[0], "x")
-    V, ok = _active_set(qp, cfg, X, _warm_start(qp, X, nu0))
+    V0 = _warm_start(qp, X, nu0)
+    GX = qp.G @ X
+    lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    V = _clip(-(_free_inverse(qp, np.ones(qp.H.shape[0], dtype=bool)) @ GX), lo, hi)
+    residual = _norms(V - _pgm_steps(qp, cfg, GX, V, 1)) / (1.0 + _norms(V))
+    ok = ((lo < V) & (V < hi)).all(axis=0) & (residual <= cfg.tol_benchmark)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        V[:, rest], ok[rest] = _active_set(qp, cfg, GX[:, rest], V0[:, rest])
     if not ok.all():
         # projected gradient from a non-finite point would only run to its cap
-        if not (np.isfinite(qp.G @ X[:, ~ok]).all() and np.isfinite(V[:, ~ok]).all()):
+        if not (np.isfinite(GX[:, ~ok]).all() and np.isfinite(V[:, ~ok]).all()):
             raise NumericsError("G x or the active-set iterate contains non-finite entries")
         V[:, ~ok] = solve_benchmark_pgm(qp, cfg, X[:, ~ok], V[:, ~ok])
     return V[:, 0] if sx else V

@@ -270,14 +270,44 @@ def test_sweep_rows_are_gap_reports(tmp_path):
 
 
 def test_diverging_run_benchmark_prints_stable_0(tmp_path, capsys):
-    # the saturated benchmark loop diverges from x0 = [3, 0]; its flag
-    # follows its last state, as the CSV it writes does
+    # the saturated benchmark loop diverges from x0 = [3, 0] and stops at
+    # its first diverged state; its flag follows its last state, as the
+    # CSV it writes does
     conf = write_conf(tmp_path, extra="T = 60\nx0 = [3.0, 0.0]\n")
     out = tmp_path / "out"
     assert cli.main(["--config", conf, "--out", str(out), "run", "benchmark"]) == 0
     text = capsys.readouterr().out
-    assert "steps = 60" in text and "stable = 0" in text
+    assert int(re.search(r"^steps = (\d+)$", text, re.M).group(1)) < 60
+    assert "stable = 0" in text
     assert not T.read_run_csv(str(out / "run_benchmark.csv")).stable
+
+
+def test_sweep_compares_runs_over_the_benchmarks_prefix(tmp_path, capsys, monkeypatch):
+    # a benchmark that diverged after 3 of T = 6 steps: each row is the gap
+    # report of the first 3 steps of its run, and stderr says so
+    run_benchmark = cli.run_benchmark
+    monkeypatch.setattr(cli, "run_benchmark",
+                        lambda *args, **kw: T.truncate_run(run_benchmark(*args, **kw), 3))
+    conf_path = write_conf(tmp_path)
+    out = tmp_path / "prefix"
+    assert cli.main(["--config", conf_path, "--out", str(out), "sweep"]) == 0
+    err = capsys.readouterr().err
+    conf = cli.resolve_config(argparse.Namespace(config=conf_path, seed=None, repeats=None))
+    model, qp, cfg, K = cli.build_setup(conf)
+    certs = T.compute_certificates(
+        model, qp, cfg, K, ediss=cli.load_ediss_fit(str(out / "ediss_fit.txt"))[0]
+    )
+    x0 = np.asarray(conf["x0"], dtype=float)
+    bench = run_benchmark(model, qp, cfg, x0, 3, repeats=0)
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    for row, ell in zip(rows, [3, 7], strict=True):
+        run = T.run_tdmpc(model, qp, cfg, x0, ell, conf["T"], repeats=0)
+        assert run.T == 6
+        gap = T.build_gap_report(T.truncate_run(run, 3), qp, certs, bench)
+        fields = (gap.rate_max, gap.R_T, gap.complexity, gap.bound, gap.S_T, gap.S_T2)
+        assert row == [str(ell), *(repr(float(v)) for v in fields), "0.0",
+                       str(int(run.stable))]
+        assert f"ell = {ell}: benchmark diverged after 3 steps; gap over the first 3 of 6" in err
 
 
 def test_sweep_deterministic_across_directories(tmp_path):

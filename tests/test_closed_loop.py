@@ -1,5 +1,7 @@
 """Closed-loop simulation: benchmark loop, truncated loop, costs, CSV round trip."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -443,14 +445,29 @@ def test_csv_round_trip_keeps_divergence(tmp_path, repeats):
 
 def test_diverging_benchmark_run_is_unstable(tmp_path, pend):
     # from x0 = [3, 0] the saturated benchmark loop of the calibrated
-    # pendulum diverges; it runs all T steps, and its last state decides
+    # pendulum diverges; like a truncated run it stops at the first state
+    # that trips the guard, and its last state decides
     x0 = np.array([3.0, 0.0])
     bench = T.run_benchmark(pend.model, pend.qp, pend.cfg, x0, 60, repeats=0)
-    assert bench.T == 60 and not bench.stable
+    assert bench.T < 60 and not bench.stable
+    assert not closed_loop._diverged(bench.states[-2], x0)
     assert T.truncate_run(bench, 1).stable
     T.write_run_csv(bench, tmp_path / "bench.csv")
     back = T.read_run_csv(tmp_path / "bench.csv")
     assert not back.stable and back.states.tobytes() == bench.states.tobytes()
+
+
+def test_long_diverging_benchmark_run_has_finite_cost(pend):
+    # without the guard, 1000 steps from x0 = [3, 0] reach states of 1e166
+    # and J_T overflows to inf; with it the run ends where the 60-step one does
+    x0 = np.array([3.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bench = T.run_benchmark(pend.model, pend.qp, pend.cfg, x0, 1000, repeats=0)
+        J = T.cost_JT(bench, pend.qp.Q, pend.qp.R, pend.qp.P)
+    short = T.run_benchmark(pend.model, pend.qp, pend.cfg, x0, 60, repeats=0)
+    assert np.isfinite(J) and not bench.stable
+    assert bench.states.tobytes() == short.states.tobytes()
 
 
 @pytest.mark.parametrize("case", ["constant", "converged", "mixed", "diverging"])

@@ -2,13 +2,18 @@
 
 import collections
 import copy
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tdmpc as T
+import tdmpc.certificates
+import tdmpc.cli
+import tdmpc.closed_loop
 import tdmpc.pgm
+import tdmpc.probe
 from conftest import PendulumSetup
 
 
@@ -326,7 +331,7 @@ def _gather_pass(qp, cfg, free, GX, V, bound):
     return changed, residual
 
 
-def _dict_active_set(qp, cfg, X, V, seen, kinds=None):
+def _dict_active_set(qp, cfg, GX, V, seen, kinds=None):
     """The active-set solve grouping columns by free-mask bytes in a dict.
 
     Every group is gathered, so its arrays are column-major, and every
@@ -334,7 +339,6 @@ def _dict_active_set(qp, cfg, X, V, seen, kinds=None):
     pass) of the call to seen, and counts in kinds the passes with every
     component free, the blocked columns and the released ones.
     """
-    GX = qp.G @ X
     bound = (V <= qp.nu_box.lower[:, None]) | (V >= qp.nu_box.upper[:, None])
     changes = np.zeros(V.shape[1], dtype=int)
     ok = np.zeros(V.shape[1], dtype=bool)
@@ -408,8 +412,8 @@ def test_grouped_active_set_is_bit_identical_to_dict_grouping(
 def test_one_working_set_is_bit_identical_to_dict_grouping_at_gemm_tails(
         monkeypatch, no_fallback):
     # dim(H) = 20: at these widths OpenBLAS rounds gemm's tail columns
-    # differently with operand layout, so a solve in place has to keep the
-    # column-major layout that the grouped gathers give
+    # differently with operand layout, so every pass has to hand BLAS the
+    # column-major layout that the dict grouping's gathers give
     rng = np.random.default_rng(36)
     A = rng.standard_normal((3, 3))
     model = T.LtiModel(0.9 * A / max(abs(np.linalg.eigvals(A))), rng.standard_normal((3, 2)))
@@ -436,7 +440,7 @@ def test_one_working_set_is_bit_identical_to_dict_grouping_at_gemm_tails(
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
     direction = rng.standard_normal(3)
     for width in (217, 262, 292):
-        # all free: tiny states, one pass with no blocking bound
+        # all free: tiny states, accepted before the active-set stage
         MU = solve_both(rng.standard_normal((3, width)) * 1e-6, None)
         assert not np.any((MU == lo) | (MU == hi))
         # all saturated: huge states along one direction, every bound taken
@@ -459,6 +463,114 @@ def test_non_finite_benchmark_solve_raises_without_fallback(pend, monkeypatch):
             T.solve_benchmark(pend.qp, pend.cfg, [1e308, 1e308])
     assert any("overflow" in str(w.message) for w in warned)
     assert calls == []
+
+
+# --- the chain's first stage: the unconstrained minimizer, certified ---
+
+
+@pytest.fixture
+def pass_widths(monkeypatch):
+    """The batch width of every _active_set_pass call, in call order."""
+    widths = []
+    active_set_pass = tdmpc.pgm._active_set_pass
+
+    def counted(qp, cfg, free, GX, V, bound):
+        widths.append(V.shape[1])
+        return active_set_pass(qp, cfg, free, GX, V, bound)
+
+    monkeypatch.setattr(tdmpc.pgm, "_active_set_pass", counted)
+    return widths
+
+
+def test_inside_columns_are_the_unconstrained_minimizer(pend, random_instance, pass_widths):
+    rng = np.random.default_rng(44)
+    inside = outside = 0
+    for model, qp, cfg in _problems(pend, random_instance, rng, 30):
+        lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+        inv = tdmpc.pgm._free_inverse(qp, np.ones(qp.H.shape[0], dtype=bool))
+        # tiny states: -H^{-1} G x lies strictly inside the box, and is returned
+        # as it is, whatever the warm start, without an active-set pass
+        X = rng.standard_normal((model.n, 5)) * 1e-3
+        U = -(inv @ (qp.G @ X))
+        assert np.all((lo < U) & (U < hi))
+        pass_widths.clear()
+        assert np.array_equal(T.solve_benchmark(qp, cfg, X, qp.nu_box.sample(rng, 5)), U)
+        x = X[:, 0]
+        assert np.array_equal(T.solve_benchmark(qp, cfg, x), -(inv @ (qp.G @ x)))
+        assert pass_widths == []
+        # mixed batches, from the interior to far outside: every column
+        # within the certificate's resolution tol / (1 - eta) of mu*, and so
+        # within twice that of the projected gradient oracle
+        X = rng.standard_normal((model.n, 8)) * np.logspace(-2.0, 4.0, 8)
+        MU = T.solve_benchmark(qp, cfg, X, qp.nu_box.sample(rng, 8))
+        oracle = T.solve_benchmark_pgm(qp, cfg, X)
+        res = cfg.tol_benchmark / (1.0 - cfg.eta)
+        assert np.all(np.linalg.norm(MU - oracle, axis=0)
+                      <= 2.0 * res * (1.0 + np.linalg.norm(MU, axis=0)))
+        assert np.all(_certificate(qp, cfg, X, MU) <= cfg.tol_benchmark)
+        free = np.all((lo < MU) & (MU < hi), axis=0)
+        inside, outside = inside + int(free.sum()), outside + int((~free).sum())
+    assert inside > 0 and outside > 0
+
+
+def test_uncertified_inside_columns_reach_the_active_set(pend, pass_widths):
+    # at N = 20 (eta = 1 - 1.4e-7) the unrefined -H^{-1} G x of a small
+    # state lies inside the box but misses the certificate
+    long = T.build_condensed(pend.model, pend.Q, pend.R, pend.P, 20, pend.box)
+    cfg = T.pgm_config(long)
+    X = np.outer(pend.x0, np.logspace(-3.0, -1.0, 20))
+    MU = T.solve_benchmark(long, cfg, X)
+    lo, hi = long.nu_box.lower[:, None], long.nu_box.upper[:, None]
+    assert np.all((lo < MU) & (MU < hi))
+    assert pass_widths
+    assert np.all(_certificate(long, cfg, X, MU) <= cfg.tol_benchmark)
+
+
+def test_warm_start_is_checked_when_every_column_is_inside(pend):
+    X = np.outer(pend.x0, [1e-3, 2e-3, 3e-3])
+    dim = pend.qp.H.shape[0]
+    with pytest.raises(T.NumericsError, match="x and nu0 have mismatched batch sizes"):
+        T.solve_benchmark(pend.qp, pend.cfg, X, np.zeros((dim, 2)))
+    with pytest.raises(T.NumericsError, match="nu0 has leading dimension"):
+        T.solve_benchmark(pend.qp, pend.cfg, X, np.zeros((dim + 1, 3)))
+
+
+def test_huge_finite_state_solves_without_warnings(pend):
+    # G x is near 1e160: squaring the unclipped -H^{-1} G x in a norm would
+    # overflow, so the first stage certifies its clipped copy
+    x = np.array([1e160, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = T.solve_benchmark(pend.qp, pend.cfg, x)
+        residual = _certificate(pend.qp, pend.cfg, x[:, None], mu[:, None])
+    assert residual[0] <= pend.cfg.tol_benchmark
+    assert np.all(np.abs(mu) == 1.0)
+
+
+def test_probe_sends_few_columns_to_the_active_set(tmp_path, monkeypatch):
+    # at N = 5 almost every state that probe solves has its minimizer
+    # strictly inside the box; count the columns of every solve_benchmark
+    # call, under each module's binding, and of every active-set solve
+    solved, active = [], []
+    solve, active_set = tdmpc.pgm.solve_benchmark, tdmpc.pgm._active_set
+
+    def counted_solve(qp, cfg, x, nu0=None):
+        solved.append(np.size(x) // qp.W.shape[0])
+        return solve(qp, cfg, x, nu0)
+
+    def counted_active_set(qp, cfg, GX, V):
+        active.append(GX.shape[1])
+        return active_set(qp, cfg, GX, V)
+
+    for module in (tdmpc.certificates, tdmpc.cli, tdmpc.closed_loop, tdmpc.probe):
+        monkeypatch.setattr(module, "solve_benchmark", counted_solve)
+    monkeypatch.setattr(tdmpc.pgm, "_active_set", counted_active_set)
+    conf = tmp_path / "n5.conf"
+    conf.write_text("preset = pendulum\nN = 5\n")
+    assert tdmpc.cli.main(["--config", str(conf), "--out", str(tmp_path), "--seed", "0",
+                           "--repeats", "0", "probe"]) == 0
+    assert sum(solved) == 77000
+    assert sum(active) <= 0.01 * sum(solved)
 
 
 # --- lean controller loop: same iterates, bit for bit ---
@@ -713,8 +825,9 @@ def test_untimed_iterate_fixed_point_from_the_first_step(pend, kernel_steps):
 
 
 def test_untimed_iterate_batched_columns_cycle_at_different_steps(pend, kernel_steps):
-    # states along the benchmark run: each column enters its cycle at its own step
-    X = T.run_benchmark(pend.model, pend.qp, pend.cfg, pend.x0, 8, repeats=0).states.T
+    # scaled copies of x0, which no solver touches: each column enters its
+    # cycle at its own step
+    X = np.outer(pend.x0, [1.0, 0.5, 0.25, 0.1, 0.05, 0.02])
     NU = np.zeros((pend.qp.H.shape[0], X.shape[1]))
     batch, executed = _untimed(pend.qp, pend.cfg, X, NU, 5000, kernel_steps)
     assert np.array_equal(batch, T.pgm_iterate(pend.qp, pend.cfg, X, NU, 5000))
