@@ -20,9 +20,9 @@ class CondensedQp:
 
     factor_cache maps a free-component mask (its bytes) to the inverse of
     the block of H on those components; the reference minimizer fills it.
-    step_cache maps a step size alpha to the controller's iteration
-    matrix I - 2 alpha H.  Both live on the instance so they can only ever
-    serve this problem.
+    step_cache maps a step size alpha to the controller's stacked
+    iteration matrix [I - 2 alpha H, I].  Both live on the instance so
+    they can only ever serve this problem.
     """
 
     def __init__(self, N, H, G, W, S, B_bar, u_box, nu_box, Q, R, P):

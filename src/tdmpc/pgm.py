@@ -5,17 +5,18 @@ input box, with the classical optimal fixed step alpha = 2 / (l + L)
 expressed through the extreme curvatures of the full Hessian 2H as
 alpha = 1 / (lam_max(H) + lam_min(H)).  The iteration contracts to the
 minimizer mu*(x) at rate eta = (lam_max - lam_min) / (lam_max + lam_min)
-per step, uniformly in x.  The controller runs the step in its affine
-form nu <- P(M nu + c), with M = I - 2 alpha H cached per problem and
-step size and c = -2 alpha G x formed once per call: the same map, whose
-iterates differ from the gradient form's only by rounding.
+per step, uniformly in x.  The controller runs the step in its stacked
+affine form nu <- P(S [nu; c]), with S = [I - 2 alpha H, I] cached per
+problem and step size and c = -2 alpha G x formed once per call: the
+same map, whose iterates differ from the gradient form's only by rounding.
 
 The reference minimizer mu*(x) itself comes from a chain of three
 solves, each accepting only the columns that pass one certificate on the
 fixed-point residual of that iteration: the unconstrained minimizer
--H^{-1} G x where it lies strictly inside the box, an exact primal
-active-set solve for the rest, and the iteration run to convergence as
-the last fallback and the test oracle.
+-H^{-1} G x where it lies strictly inside the box, refined once where
+it misses the certificate; an exact primal active-set solve for the
+rest; and the iteration run to convergence as the last fallback and the
+test oracle.
 """
 
 import operator
@@ -66,27 +67,27 @@ _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 def _pgm_steps(qp, cfg, GX, V, ell):
     """ell projected gradient steps on checked (dim, batch) arrays.
 
-    GX = G @ X is formed once by the caller, and c = GX * (-2 alpha) once
-    here.  Each step computes min(max(M V + c, lo), hi), which is
-    np.clip(M @ V + c, lo, hi) for the finite bounds lo < hi, with
-    M = I - 2 alpha H cached on qp per step size: the gradient step
-    V - 2 alpha (H V + G X) in affine form, in three C calls per step,
-    equal to it up to rounding but not bit for bit.  The steps write into
-    a fresh C-ordered copy of V and one scratch array through positional
-    out arguments: no allocation per step, the caller's V is never
-    written and every call returns a new array.  M.dot is M @ V without
-    matmul's dispatch.
+    GX = G @ X is formed once by the caller.  Each call writes V and
+    c = GX * (-2 alpha) into one fresh C-ordered array Y = [V; c], and
+    each step computes min(max(S Y, lo), hi) into its top block V: that is
+    np.clip(S @ Y, lo, hi) for the finite bounds lo < hi, with
+    S = [I - 2 alpha H, I] cached on qp per step size.  It is the gradient
+    step V - 2 alpha (H V + G X) in affine form, c added inside the
+    product, in two C calls per step (S.dot is S @ Y without matmul's
+    dispatch), equal to it up to rounding but not bit for bit.  No step
+    allocates, the caller's V is never written and every call returns a
+    new block.
     """
+    d = len(V)
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    M = qp.step_cache.get(cfg.alpha)
-    if M is None:
-        M = qp.step_cache[cfg.alpha] = np.eye(qp.H.shape[0]) - (2.0 * cfg.alpha) * qp.H
-    dot, add, clip, c = M.dot, np.add, _clip, GX * (-2.0 * cfg.alpha)
-    V = np.array(V, dtype=float, order="C")
-    T = np.empty_like(V)
+    S = qp.step_cache.get(cfg.alpha)
+    if S is None:
+        S = qp.step_cache[cfg.alpha] = np.hstack([np.eye(d) - (2.0 * cfg.alpha) * qp.H, np.eye(d)])
+    Y = np.empty((2 * d, V.shape[1]))
+    Y[:d], Y[d:] = V, GX * (-2.0 * cfg.alpha)
+    dot, clip, V, T = S.dot, _clip, Y[:d], np.empty_like(Y[:d])
     for _ in range(ell):
-        dot(V, T)
-        add(T, c, T)
+        dot(Y, T)
         clip(T, lo, hi, V)
     return V
 
@@ -250,11 +251,12 @@ def _active_set(qp, cfg, GX, V):
     """Primal active-set solve (Nocedal & Wright, Alg. 16.3) of every column.
 
     The second stage of solve_benchmark, which sends it only the columns
-    whose unconstrained minimizer leaves the box or misses the
-    certificate, with their columns of G X.  The initial working set is
-    the set of bounds that the feasible start V touches.  Each pass sorts
-    the pending columns by working set and gathers each group, so the
-    group shares one cached factor and hands BLAS column-major operands.
+    whose unconstrained minimizer leaves the box or, refined once, still
+    misses the certificate, with their columns of G X.  The initial
+    working set is the set of bounds that the feasible start V touches.
+    Each pass sorts the pending columns by working set and gathers each
+    group, so the group shares one cached factor and hands BLAS
+    column-major operands.
     Writes V in place and returns (V, ok): ok marks the columns that
     finished within cfg.iter_cap working-set changes and whose
     certificate, the scaled fixed-point residual ||nu - T(nu)|| / (1 + ||nu||)
@@ -292,22 +294,35 @@ def solve_benchmark(qp, cfg, x, nu0=None):
     piece of the piecewise-affine mu* with no bound active: accepted
     where it lies strictly inside the box.  It is clipped before its
     certificate is taken, which leaves accepted columns unchanged and
-    keeps every norm finite.  Then a primal active-set solve of the other
-    columns, warm-started from the bounds that the projected nu0 touches
-    (zeros when nu0 is None).  A column that fails there or reaches
-    iter_cap working-set changes falls back to solve_benchmark_pgm
-    warm-started from the active-set iterate, unless G x or that iterate
-    is not finite, which raises NumericsError.  Accepts batched x
-    (n, batch) with nu0 shaped to match, checked on every call, and
-    returns a C-ordered array; neither input is written.
+    keeps every norm finite.  An inside column that misses its
+    certificate (at long horizons, where H is ill-conditioned) is refined
+    once with the same inverse and certified again.  Then a primal
+    active-set solve of the other columns, warm-started from the bounds
+    that the projected nu0 touches (zeros when nu0 is None).  A column
+    that fails there or reaches iter_cap working-set changes falls back
+    to solve_benchmark_pgm warm-started from the active-set iterate,
+    unless G x or that iterate is not finite, which raises NumericsError.
+    Accepts batched x (n, batch) with nu0 shaped to match, checked on
+    every call, and returns a C-ordered array; neither input is written.
     """
     X, sx = _batched(x, qp.W.shape[0], "x")
     V0 = _warm_start(qp, X, nu0)
     GX = qp.G @ X
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    V = _clip(-(_free_inverse(qp, np.ones(qp.H.shape[0], dtype=bool)) @ GX), lo, hi)
-    residual = _norms(V - _pgm_steps(qp, cfg, GX, V, 1)) / (1.0 + _norms(V))
-    ok = ((lo < V) & (V < hi)).all(axis=0) & (residual <= cfg.tol_benchmark)
+    inv = _free_inverse(qp, np.ones(qp.H.shape[0], dtype=bool))
+
+    def certified(GX, V):
+        residual = _norms(V - _pgm_steps(qp, cfg, GX, V, 1)) / (1.0 + _norms(V))
+        return residual <= cfg.tol_benchmark
+
+    V = _clip(-(inv @ GX), lo, hi)
+    inside = ((lo < V) & (V < hi)).all(axis=0)
+    ok = inside & certified(GX, V)
+    miss = np.flatnonzero(inside & ~ok)
+    if miss.size:  # refine once with the same inverse, as an active-set pass does
+        Gm, Vm = GX[:, miss], V[:, miss]
+        V[:, miss] = Vm = _clip(Vm - inv @ (qp.H @ Vm + Gm), lo, hi)
+        ok[miss] = ((lo < Vm) & (Vm < hi)).all(axis=0) & certified(Gm, Vm)
     rest = np.flatnonzero(~ok)
     if rest.size:
         V[:, rest], ok[rest] = _active_set(qp, cfg, GX[:, rest], V0[:, rest])

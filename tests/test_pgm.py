@@ -513,16 +513,29 @@ def test_inside_columns_are_the_unconstrained_minimizer(pend, random_instance, p
     assert inside > 0 and outside > 0
 
 
-def test_uncertified_inside_columns_reach_the_active_set(pend, pass_widths):
+def test_uncertified_inside_columns_are_refined_before_the_active_set(pend, monkeypatch):
     # at N = 20 (eta = 1 - 1.4e-7) the unrefined -H^{-1} G x of a small
-    # state lies inside the box but misses the certificate
+    # state lies inside the box but misses the certificate; one refinement
+    # with the same inverse certifies it, so no column reaches the active set
     long = T.build_condensed(pend.model, pend.Q, pend.R, pend.P, 20, pend.box)
     cfg = T.pgm_config(long)
     X = np.outer(pend.x0, np.logspace(-3.0, -1.0, 20))
-    MU = T.solve_benchmark(long, cfg, X)
     lo, hi = long.nu_box.lower[:, None], long.nu_box.upper[:, None]
+    inv = tdmpc.pgm._free_inverse(long, np.ones(long.H.shape[0], dtype=bool))
+    U = -(inv @ (long.G @ X))
+    assert np.all((lo < U) & (U < hi))
+    assert np.any(_certificate(long, cfg, X, U) > cfg.tol_benchmark)
+    active = []
+    active_set = tdmpc.pgm._active_set
+
+    def counted(qp, cfg, GX, V):
+        active.append(GX.shape[1])
+        return active_set(qp, cfg, GX, V)
+
+    monkeypatch.setattr(tdmpc.pgm, "_active_set", counted)
+    MU = T.solve_benchmark(long, cfg, X)
+    assert active == []
     assert np.all((lo < MU) & (MU < hi))
-    assert pass_widths
     assert np.all(_certificate(long, cfg, X, MU) <= cfg.tol_benchmark)
 
 
@@ -577,14 +590,24 @@ def test_probe_sends_few_columns_to_the_active_set(tmp_path, monkeypatch):
 
 
 def _clip_loop(qp, cfg, x, nu, ell):
-    """The affine projected gradient loop written with np.clip, M @ V and G @ x per step."""
+    """The stacked projected gradient loop written with np.clip, S @ [V; c] and G @ x per step."""
     X = x if x.ndim == 2 else x[:, None]
     V = nu if nu.ndim == 2 else nu[:, None]
+    lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    dim = qp.H.shape[0]
+    S = np.hstack([np.eye(dim) - cfg.alpha * 2.0 * qp.H, np.eye(dim)])
+    for _ in range(ell):
+        V = np.clip(S @ np.vstack([V, (qp.G @ X) * (-2.0 * cfg.alpha)]), lo, hi)
+    return V[:, 0] if (x.ndim == 1 and nu.ndim == 1) else V
+
+
+def _affine_loop(qp, cfg, X, V, ell):
+    """The three-call affine loop np.clip(M @ V + c, lo, hi) that the stacked kernel replaced."""
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
     M = np.eye(qp.H.shape[0]) - cfg.alpha * 2.0 * qp.H
     for _ in range(ell):
         V = np.clip(M @ V + (qp.G @ X) * (-2.0 * cfg.alpha), lo, hi)
-    return V[:, 0] if (x.ndim == 1 and nu.ndim == 1) else V
+    return V
 
 
 def _problems(pend, random_instance, rng, count):
@@ -650,29 +673,54 @@ def test_iterate_agrees_with_gradient_form_to_rounding(pend, random_instance):
     assert differ > 0  # the forms do round differently
 
 
+def test_iterate_agrees_with_affine_loop_to_rounding(pend, random_instance):
+    # the stacked kernel adds c inside the product, the affine loop after
+    # it: the same map, rounded differently, so within the bound of
+    # test_iterate_agrees_with_gradient_form_to_rounding of each other.
+    # Batches (gemm) and single columns (gemv) are checked apart, since
+    # BLAS sums the two differently
+    rng = np.random.default_rng(45)
+    eps = np.finfo(float).eps
+    differ = 0
+    for i, (model, qp, cfg) in enumerate(_problems(pend, random_instance, rng, 40)):
+        dim = qp.H.shape[0]
+        X = rng.standard_normal((model.n, 8)) * np.logspace(-2.0, 4.0, 8)
+        NU = qp.nu_box.sample(rng, 8)
+        for ell in (1, 7, int(rng.integers(1, 400)), 2000 if i == 0 else 50):
+            for cols in [slice(None)] + [slice(j, j + 1) for j in range(8)]:
+                out = T.pgm_iterate(qp, cfg, X[:, cols], NU[:, cols], ell)
+                ref = _affine_loop(qp, cfg, X[:, cols], NU[:, cols], ell)
+                tol = 4.0 * dim * eps * (1.0 + np.linalg.norm(out, axis=0)) / (1.0 - cfg.eta)
+                assert np.all(np.linalg.norm(out - ref, axis=0) <= tol), (i, ell)
+                differ += not np.array_equal(out, ref)
+    assert differ > 0  # the two kernels do round differently
+
+
 def test_step_matrix_is_cached_per_problem_and_step_size(pend):
     qp = T.build_condensed(pend.model, pend.Q, pend.R, pend.P, pend.N, pend.box)
     cfg = T.pgm_config(qp)
     x, nu = pend.x0, np.zeros(qp.H.shape[0])
+    dim = qp.H.shape[0]
+    stacked = lambda alpha: np.hstack([np.eye(dim) - 2.0 * alpha * qp.H, np.eye(dim)])
     out = T.pgm_iterate(qp, cfg, x, nu, 5)
     assert list(qp.step_cache) == [cfg.alpha]
-    M = qp.step_cache[cfg.alpha]
-    assert np.array_equal(M, np.eye(qp.H.shape[0]) - 2.0 * cfg.alpha * qp.H)
+    S = qp.step_cache[cfg.alpha]
+    assert S.shape == (dim, 2 * dim) and S.flags.c_contiguous
+    assert np.array_equal(S, stacked(cfg.alpha))
     T.pgm_iterate(qp, cfg, x, nu, 5)
-    assert qp.step_cache[cfg.alpha] is M  # built once, reused
+    assert qp.step_cache[cfg.alpha] is S  # built once, reused
     # another step size on the same problem gets its own matrix and iterates
     half = T.PgmConfig(cfg.alpha / 2.0, cfg.eta, cfg.tol_benchmark, cfg.iter_cap)
     slow = T.pgm_iterate(qp, half, x, nu, 5)
     assert set(qp.step_cache) == {cfg.alpha, half.alpha}
-    assert np.array_equal(qp.step_cache[half.alpha],
-                          np.eye(qp.H.shape[0]) - 2.0 * half.alpha * qp.H)
+    assert np.array_equal(qp.step_cache[half.alpha], stacked(half.alpha))
     assert np.array_equal(slow, _clip_loop(qp, half, x, nu, 5))
     assert not np.allclose(slow, out)
     # the same step size on another problem never sees this problem's matrix
     other = T.build_condensed(pend.model, pend.Q, 4.0 * pend.R, pend.P, pend.N, pend.box)
     assert other.step_cache is not qp.step_cache
     assert np.array_equal(T.pgm_iterate(other, cfg, x, nu, 5), _clip_loop(other, cfg, x, nu, 5))
-    assert not np.array_equal(other.step_cache[cfg.alpha], M)
+    assert not np.array_equal(other.step_cache[cfg.alpha], S)
 
 
 def test_iterate_leaves_nu_unchanged(pend):
@@ -826,16 +874,28 @@ def test_untimed_iterate_fixed_point_from_the_first_step(pend, kernel_steps):
 
 def test_untimed_iterate_batched_columns_cycle_at_different_steps(pend, kernel_steps):
     # scaled copies of x0, which no solver touches: each column enters its
-    # cycle at its own step
-    X = np.outer(pend.x0, [1.0, 0.5, 0.25, 0.1, 0.05, 0.02])
+    # cycle in its own window
+    X = np.outer(pend.x0, [1.0, 0.3, 0.01, 1e-3, 1e-5, 2.0])
     NU = np.zeros((pend.qp.H.shape[0], X.shape[1]))
     batch, executed = _untimed(pend.qp, pend.cfg, X, NU, 5000, kernel_steps)
     assert np.array_equal(batch, T.pgm_iterate(pend.qp, pend.cfg, X, NU, 5000))
-    singles = [_untimed(pend.qp, pend.cfg, x, NU[:, 0], 5000, kernel_steps)[1]
-               for x in X.T]
-    assert len(set(singles)) > 1
+    # each column's window, read off the batch's own iterates (a single
+    # column runs gemv, the batch gemm, and the two round differently): the
+    # first window k >= 2 that ends on the bytes the window before ended on
+    windows, prev, k = {}, None, 0
+    while len(windows) < X.shape[1]:
+        k += 1
+        assert k * W < 5000
+        now = T.pgm_iterate(pend.qp, pend.cfg, X, NU, k * W)
+        if prev is not None:
+            for j in range(X.shape[1]):
+                if j not in windows and now[:, j].tobytes() == prev[:, j].tobytes():
+                    windows[j] = k
+        prev = now
+    assert len(set(windows.values())) > 1
     # the batch skips once its last column has cycled
-    assert executed == max(singles) < 5000
+    w = max(windows.values())
+    assert executed == W * w + (5000 - W * w) % W < 5000
 
 
 def test_untimed_iterate_strided_caller_input(pend, kernel_steps):
