@@ -40,6 +40,7 @@ from .gap import (
 from .numerics import (
     NumericsError,
     SymEig,
+    dare_residual,
     discretize_zoh,
     mat_inv_sqrt,
     mat_sqrt,

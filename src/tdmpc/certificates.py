@@ -17,6 +17,7 @@ import numpy as np
 from .closed_loop import _benchmark_steps
 from .condensed import cost
 from .numerics import (
+    dare_residual,
     mat_inv_sqrt,
     mat_sqrt,
     spectral_norm,
@@ -265,6 +266,7 @@ class Certificates:
     M_x: float
     M_u: float
     M_bar: float | None
+    dare_residual: float
     ediss: object  # last field: the EdissFit behind M_bar, or None
 
     def to_lines(self):
@@ -279,9 +281,10 @@ def compute_certificates(model, qp, cfg, K, rng=None, psi_samples=500, ediss=Non
     """Assemble every certified constant for one problem instance.
 
     K is the terminal-controller gain used to size the constraint-
-    compatible region.  When an rng is supplied the analytic decay factor
-    is cross-checked against sampled one-step cost ratios; a violation
-    raises.  An incremental-stability fit `ediss` enables the combined
+    compatible region; with qp.P it is the DARE solution whose relative
+    residual is reported as dare_residual.  When an rng is supplied the
+    analytic decay factor is cross-checked against sampled one-step cost
+    ratios; a violation raises.  An incremental-stability fit `ediss` enables the combined
     cost Lipschitz constant M_bar.
     """
     L = lipschitz_L(qp)
@@ -296,4 +299,5 @@ def compute_certificates(model, qp, cfg, K, rng=None, psi_samples=500, ediss=Non
         worst = check_psi_decay(model, qp, cfg, beta, r_N, rng, psi_samples)
     return Certificates(qp.N, cfg.alpha, cfg.eta, L, beta, worst, c, d, r_N,
                         omega, sigma, kappa, raw, ell, tau, eps,
-                        M_x, M_u, M_bar, ediss)
+                        M_x, M_u, M_bar, dare_residual(model.A, model.B, qp.Q, qp.R, qp.P, K),
+                        ediss)

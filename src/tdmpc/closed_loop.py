@@ -89,10 +89,11 @@ def _steps(model, qp, x, T, repeats, policy, nu, disturbances=None):
     """The closed loop u_k = S nu_k with nu_k = policy(k, x_k, nu_{k-1}).
 
     x has shape (n,) or (n, batch) and nu is nu_{-1}, the first warm
-    start.  Yields (nu_k, u_k, x_{k+1}, seconds) for k < T.  Each policy
-    call is timed alone through _timed_loop; disturbances[k], when given,
-    is added to x_{k+1}.  Both the benchmark and the truncated loop step
-    the plant here and nowhere else.
+    start (None for a policy that takes none).  Yields (nu_k, u_k,
+    x_{k+1}, seconds) for k < T.  Each policy call is timed alone through
+    _timed_loop; disturbances[k], when given, is added to x_{k+1}.  Both
+    the benchmark and the truncated loop step the plant here and nowhere
+    else.
     """
     for k in range(T):
         nu, seconds = _timed_loop(lambda: policy(k, x, nu), repeats)
@@ -104,9 +105,9 @@ def _steps(model, qp, x, T, repeats, policy, nu, disturbances=None):
 
 
 def _benchmark_steps(model, qp, cfg, x, T, repeats, disturbances=None):
-    """_steps under the policy mu*(x_k), warm-started from mu*(x_{k-1}) (zeros at k = 0)."""
-    return _steps(model, qp, x, T, repeats, lambda k, x, mu: solve_benchmark(qp, cfg, x, mu),
-                  np.zeros(qp.H.shape[:1] + x.shape[1:]), disturbances)
+    """_steps under the policy mu*(x_k), which needs no warm start."""
+    return _steps(model, qp, x, T, repeats, lambda k, x, nu: solve_benchmark(qp, cfg, x),
+                  None, disturbances)
 
 
 def _diverged(x, x0):
@@ -141,10 +142,10 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     previous input sequence is reused as the warm start without shifting;
     nu_init seeds the very first warm start (zero by default).  A state
     that trips the divergence guard ends the run.  After the loop, one
-    batched reference solve of the visited states x_k, warm-started from
-    nu_{k-1}, gives the optimizer errors d_k = ||nu_k - mu*(x_k)|| and the
-    warm-start gaps ||nu_{k-1} - mu*(x_k)||, the first of which is
-    delta_u0_norm; it runs after the last timed controller call.
+    batched reference solve of the visited states x_k gives the optimizer
+    errors d_k = ||nu_k - mu*(x_k)|| and the warm-start gaps
+    ||nu_{k-1} - mu*(x_k)||, the first of which is delta_u0_norm; it runs
+    after the last timed controller call.
     """
     x0, T = _check_start(model, x0, T)
     if np.ndim(ell_schedule) == 0:
@@ -170,7 +171,7 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     inputs, applied, states, times = map(np.array, zip(*steps))
     states = np.vstack((x0, states))
     warm = np.vstack((nu, inputs[:-1]))
-    mu = solve_benchmark(qp, cfg, states[:-1].T, warm.T).T
+    mu = solve_benchmark(qp, cfg, states[:-1].T).T
     warm_gaps = np.linalg.norm(warm - mu, axis=1)
     return ClosedLoopRun(states, inputs, applied, times, np.linalg.norm(inputs - mu, axis=1),
                          warm_gaps, schedule[:len(steps)], float(warm_gaps[0]))

@@ -98,25 +98,26 @@ _CYCLE_WINDOW = 60
 def _pgm_iterate_untimed(qp, cfg, x, nu, ell):
     """pgm_iterate(qp, cfg, x, nu, ell) for ell >= 1, skipping exact repeats of the orbit.
 
-    Runs the kernel in windows of _CYCLE_WINDOW steps.  For fixed GX and
-    box a step is a function of its input iterate, so once a window ends
-    on the iterate it started from, the orbit repeats with a period
-    dividing the window and only the remainder of ell is left to run.
-    Both compared iterates are kernel outputs (fresh C-ordered arrays),
-    never the caller's nu, whose layout may differ, so equal bytes mean
-    equal bits (np.array_equal would also match 0.0 with -0.0).  The
-    skipped steps never execute, so this must not be timed: timed runs
-    use pgm_iterate.
+    Runs the kernel in windows of _CYCLE_WINDOW steps and keeps the bytes
+    of every window's last iterate with the steps then left.  For fixed GX
+    and box a step is a function of its input iterate, so once a window
+    ends on an iterate an earlier window ended on, the orbit repeats with
+    a period of the steps between the two, whatever that period is, and
+    only the remainder of ell modulo it is left to run.  The compared
+    iterates are kernel outputs (fresh C-ordered arrays), never the
+    caller's nu, whose layout may differ, so equal bytes mean equal bits
+    (np.array_equal would also match 0.0 with -0.0).  The skipped steps
+    never execute, so this must not be timed: timed runs use pgm_iterate.
     """
     X, V, squeeze = _batched_pair(qp, x, nu)
     GX, W = qp.G @ X, _CYCLE_WINDOW
-    left, prev = ell, None
+    left, ends = ell, {}
     while left >= W:
         V, left = _pgm_steps(qp, cfg, GX, V, W), left - W
-        if prev is not None and V.tobytes() == prev.tobytes():
-            left %= W
+        earlier = ends.setdefault(V.tobytes(), left)
+        if earlier != left:
+            left %= earlier - left
             break
-        prev = V
     out = _pgm_steps(qp, cfg, GX, V, left)
     return out[:, 0] if squeeze else out
 
@@ -167,16 +168,6 @@ def pgm_iterate(qp, cfg, x, nu, ell):
 def pgm_step(qp, cfg, x, nu):
     """One projected gradient step on nu at parameter x; batched like cost."""
     return pgm_iterate(qp, cfg, x, nu, 1)
-
-
-def _warm_start(qp, X, nu0):
-    """Feasible starting point: zeros, or nu0 projected onto the box."""
-    if nu0 is None:
-        return np.zeros((qp.H.shape[0], X.shape[1]))
-    V, _ = _batched(nu0, qp.H.shape[0], "nu0")
-    if V.shape[1] != X.shape[1]:
-        raise NumericsError("x and nu0 have mismatched batch sizes")
-    return _clip(V, qp.nu_box.lower[:, None], qp.nu_box.upper[:, None])
 
 
 def _free_inverse(qp, free):
@@ -252,8 +243,9 @@ def _active_set(qp, cfg, GX, V):
 
     The second stage of solve_benchmark, which sends it only the columns
     whose unconstrained minimizer leaves the box or, refined once, still
-    misses the certificate, with their columns of G X.  The initial
-    working set is the set of bounds that the feasible start V touches.
+    misses the certificate, with their columns of G X and that minimizer
+    clipped to the box as the start V.  The initial working set is the
+    set of bounds that V touches.
     Each pass sorts the pending columns by working set and gathers each
     group, so the group shares one cached factor and hands BLAS
     column-major operands.
@@ -284,7 +276,7 @@ def _active_set(qp, cfg, GX, V):
     return V, ok
 
 
-def solve_benchmark(qp, cfg, x, nu0=None):
+def solve_benchmark(qp, cfg, x):
     """The reference minimizer mu*(x), solved exactly and certified.
 
     A chain of three stages; each accepts a column only when its scaled
@@ -297,16 +289,15 @@ def solve_benchmark(qp, cfg, x, nu0=None):
     keeps every norm finite.  An inside column that misses its
     certificate (at long horizons, where H is ill-conditioned) is refined
     once with the same inverse and certified again.  Then a primal
-    active-set solve of the other columns, warm-started from the bounds
-    that the projected nu0 touches (zeros when nu0 is None).  A column
-    that fails there or reaches iter_cap working-set changes falls back
-    to solve_benchmark_pgm warm-started from the active-set iterate,
-    unless G x or that iterate is not finite, which raises NumericsError.
-    Accepts batched x (n, batch) with nu0 shaped to match, checked on
-    every call, and returns a C-ordered array; neither input is written.
+    active-set solve of the other columns, started from that clipped
+    minimizer and the bounds it touches, so mu*(x) depends on x alone.
+    A column that fails there or reaches iter_cap working-set changes
+    falls back to solve_benchmark_pgm warm-started from the active-set
+    iterate, unless G x or that iterate is not finite, which raises
+    NumericsError.  Accepts batched x (n, batch), checked on every call,
+    and returns a C-ordered array; x is never written.
     """
     X, sx = _batched(x, qp.W.shape[0], "x")
-    V0 = _warm_start(qp, X, nu0)
     GX = qp.G @ X
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
     inv = _free_inverse(qp, np.ones(qp.H.shape[0], dtype=bool))
@@ -325,7 +316,7 @@ def solve_benchmark(qp, cfg, x, nu0=None):
         ok[miss] = ((lo < Vm) & (Vm < hi)).all(axis=0) & certified(Gm, Vm)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        V[:, rest], ok[rest] = _active_set(qp, cfg, GX[:, rest], V0[:, rest])
+        V[:, rest], ok[rest] = _active_set(qp, cfg, GX[:, rest], V[:, rest])
     if not ok.all():
         # projected gradient from a non-finite point would only run to its cap
         if not (np.isfinite(GX[:, ~ok]).all() and np.isfinite(V[:, ~ok]).all()):
@@ -343,11 +334,16 @@ def solve_benchmark_pgm(qp, cfg, x, nu0=None):
     eta * tol * (1 + ||nu||), and raises BenchmarkSolveError after
     iter_cap iterations.  Accepts batched x (n, batch) and solves all
     columns simultaneously; extra iterations on already-converged columns
-    are harmless because the map contracts toward mu*.  The fallback of
+    are harmless because the map contracts toward mu*.  Starts from nu0
+    projected onto the box, or from zeros.  The fallback of
     solve_benchmark and the oracle its tests compare against.
     """
-    X, sx = _batched(x, qp.W.shape[0], "x")
-    V = _warm_start(qp, X, nu0)
+    if nu0 is None:
+        X, sx = _batched(x, qp.W.shape[0], "x")
+        V = np.zeros((qp.H.shape[0], X.shape[1]))
+    else:
+        X, V, sx = _batched_pair(qp, x, nu0)
+        V = _clip(V, qp.nu_box.lower[:, None], qp.nu_box.upper[:, None])
     GX = qp.G @ X
     tol = cfg.tol_benchmark
     residual = np.inf

@@ -46,7 +46,7 @@ def make_benchmark_evaluator(model, qp, cfg):
     The returned callable runs an (n, batch) array of initial states (or
     one state (n,), run as one column) for `horizon` steps, optionally
     adding a per-step additive disturbance of shape (horizon, n, batch);
-    solves are warm-started across steps.  It returns the stack
+    each step solves for mu*(x_k) from x_k alone.  It returns the stack
     (horizon+1, ...) of reduce(x_k) over the states x_k (n, batch), each
     reduced as it comes, so no state history is kept; with reduce=None
     it returns the trajectories themselves, (horizon+1, n, batch).
@@ -252,7 +252,7 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
     X = sampler(rng, samples)
     NU0 = qp.nu_box.sample(rng, samples)
     ells = rng.integers(1, ell_max + 1, size=samples)
-    MU = solve_benchmark(qp, cfg, X, NU0)  # also checks the shapes of X and NU0
+    MU = solve_benchmark(qp, cfg, X)  # also checks the shape of X
     GX = qp.G @ X
     norm0 = np.linalg.norm(NU0 - MU, axis=0)
     size = 1.0 + np.linalg.norm(MU, axis=0)

@@ -188,6 +188,9 @@ def test_constants_reports_pending_without_probe(tmp_path, capsys):
     text = (out / "constants.txt").read_text()
     assert "M_bar = pending probe" in text
     assert "eta = " in text and "ell_star = " in text
+    # the DARE's certificate: the relative residual of the doubling's P
+    residual = [ln for ln in text.splitlines() if ln.startswith("dare_residual = ")]
+    assert len(residual) == 1 and float(residual[0].split("=")[1]) < 1e-14
     assert "M_bar = pending probe" in capsys.readouterr().out
 
 

@@ -302,8 +302,7 @@ def _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init=None):
     """A frozen copy of run_tdmpc as it was when it solved mu*(x_k) inside its loop.
 
     One single-column reference solve per step, between the controller
-    calls: mu*(x_0) warm-started from the first warm start before the
-    loop, then mu*(x_k) from nu_{k-1}.  The untimed kernel steps the
+    calls: mu*(x_0) before the loop, then mu*(x_k).  The untimed kernel steps the
     controller, as in a run with repeats = 0.  The reference that the one
     batched solve after the loop has to match within the reference
     resolution; returns the run, the minimizers it solved and its own
@@ -315,12 +314,12 @@ def _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init=None):
         nu = np.zeros(qp.H.shape[0])
     else:
         nu = qp.nu_box.project(np.asarray(nu_init, dtype=float).ravel().copy())
-    mu = T.solve_benchmark(qp, cfg, x0, nu)
+    mu = T.solve_benchmark(qp, cfg, x0)
     delta_u0 = float(np.linalg.norm(nu - mu))
     x, steps, errors, mus, stable = x0, [], [], [], True
     for k in range(horizon):
         if steps:
-            mu = T.solve_benchmark(qp, cfg, x, nu)
+            mu = T.solve_benchmark(qp, cfg, x)
         nu_k = pgm._pgm_iterate_untimed(qp, cfg, x, nu, schedule[k])
         errors.append((np.linalg.norm(nu - mu), np.linalg.norm(nu_k - mu)))
         mus.append(mu)
@@ -360,9 +359,9 @@ def _check_against_per_step_oracle(monkeypatch, model, qp, cfg, x0, schedule, ho
             return kernel(qp, cfg, x, nu, ell)
         return call
 
-    def counting_solve(qp, cfg, x, nu0=None):
+    def counting_solve(qp, cfg, x):
         events.append(("reference", np.shape(x)))
-        return solve(qp, cfg, x, nu0)
+        return solve(qp, cfg, x)
 
     monkeypatch.setattr(closed_loop, "pgm_iterate", counting(closed_loop.pgm_iterate))
     monkeypatch.setattr(closed_loop, "_pgm_iterate_untimed",

