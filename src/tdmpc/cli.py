@@ -244,6 +244,10 @@ def build_model(conf):
     else:
         raise ConfigError("configuration must provide either (A, B) or (A_c, B_c, T_s)")
     Q, R = conf["Q"], conf["R"]
+    for key, M, dim in (("Q", Q, model.n), ("R", R, model.m)):
+        if M.shape != (dim, dim):
+            raise ConfigError(
+                f"configuration key {key!r} has shape {M.shape}, expected {(dim, dim)}")
     try:
         box = BoxSet(conf["u_min"], conf["u_max"])
     except NumericsError as exc:

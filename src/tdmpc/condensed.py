@@ -18,8 +18,7 @@ from .numerics import NumericsError, _as_matrix, _spd_eig
 class CondensedQp:
     """Condensed quadratic program data for one (model, Q, R, P, N, box) tuple.
 
-    factor_cache maps a free-component mask (its bytes) to the inverse of
-    the block of H on those components; the reference minimizer fills it.
+    H_inv is the inverse of H, for the reference minimizer's first stage.
     step_cache maps a step size alpha to the controller's stacked
     iteration matrix [I - 2 alpha H, I].  Both live on the instance so
     they can only ever serve this problem.
@@ -37,7 +36,7 @@ class CondensedQp:
         self.Q = Q
         self.R = R
         self.P = P
-        self.factor_cache = {}
+        self.H_inv = np.linalg.inv(H)
         self.step_cache = {}
 
 

@@ -145,6 +145,11 @@ def solve_dare(A, B, Q, R):
         raise NumericsError(f"A must be square, got {A.shape}")
     if B.shape[0] != n:
         raise NumericsError(f"B has {B.shape[0]} rows, expected {n}")
+    m = B.shape[1]
+    if Q.shape != (n, n):
+        raise NumericsError(f"Q has shape {Q.shape}, expected {(n, n)}")
+    if R.shape != (m, m):
+        raise NumericsError(f"R has shape {R.shape}, expected {(m, m)}")
     if sym_eig(Q, "Q").min < 0.0:
         raise NumericsError("Q must be positive semidefinite")
     _spd_eig(R, "R")
@@ -216,5 +221,7 @@ def discretize_zoh(A_c, B_c, T_s):
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A_c
     M[:n, n:] = B_c
-    E = _expm(M * T_s)
+    # a huge T_s makes the squaring overflow; LtiModel's finiteness check says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _expm(M * T_s)
     return E[:n, :n].copy(), E[:n, n:].copy()

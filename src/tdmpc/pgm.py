@@ -170,16 +170,6 @@ def pgm_step(qp, cfg, x, nu):
     return pgm_iterate(qp, cfg, x, nu, 1)
 
 
-def _free_inverse(qp, free):
-    """Inverse of H on the free components, cached on qp by the free mask."""
-    key = free.tobytes()
-    inv = qp.factor_cache.get(key)
-    if inv is None:
-        inv = np.linalg.inv(qp.H[np.ix_(free, free)])
-        qp.factor_cache[key] = inv
-    return inv
-
-
 def _norms(a):
     """np.linalg.norm(a, axis=0) for real a, without its conj copy: the same bits."""
     return np.sqrt(np.add.reduce(a * a, axis=0))
@@ -190,15 +180,16 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
 
     Steps every column to the minimizer over its free components, stopped
     at the first blocking bound, which joins the working set.  A column
-    that takes the full step gets one refinement with the cached inverse
-    and one projected gradient step, whose size is its certificate.  If
-    the certificate fails, a bound that the step moves has a multiplier
-    of the wrong sign, and the one it moves most leaves the working set.
+    that takes the full step gets one refinement with the same inverse of
+    H on the free components and one projected gradient step, whose size
+    is its certificate.  If the certificate fails, a bound that the step
+    moves has a multiplier of the wrong sign, and the one it moves most
+    leaves the working set.
     Updates V and bound in place; returns the columns that changed their
     working set and the scaled fixed-point residual of the others.
     """
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    inv = _free_inverse(qp, free)
+    inv = np.linalg.inv(qp.H[np.ix_(free, free)])
     HF, lf, hf = qp.H[free], lo[free], hi[free]
     p = -inv @ (HF @ V + GX[free])
     v = V[free]
@@ -217,24 +208,19 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
         i = np.flatnonzero(free)[k]
         V[i, b] = np.where(up[k, b], hi[i, 0], lo[i, 0])
         bound[i, b] = True
-        f = np.flatnonzero(~blocked)
-        Vf, Gf = V[:, f], GX[:, f]
-    else:  # no column blocked: refine V and GX themselves, not copies of them
-        f, Vf, Gf = slice(None), V, GX
+    f = np.flatnonzero(~blocked)
+    Vf, Gf = V[:, f], GX[:, f]
     Vf[free] = _clip(Vf[free] - inv @ (HF @ Vf + Gf[free]), lf, hf)
     z = Vf - _pgm_steps(qp, cfg, Gf, Vf, 1)
     residual = np.full(V.shape[1], np.inf)
     residual[f] = _norms(z) / (1.0 + _norms(Vf))
-    if b.size:
-        V[:, f] = Vf
+    V[:, f] = Vf
     changed = blocked
-    if bound.any():  # with no bound in the working set there is none to release
-        cols = np.arange(V.shape[1])[f]
-        moved = np.where(bound[:, f], np.abs(z), 0.0)
-        worst = moved.argmax(axis=0)
-        release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(cols.size)] > 0.0)
-        bound[worst[release], cols[release]] = False
-        changed[cols[release]] = True
+    moved = np.where(bound[:, f], np.abs(z), 0.0)
+    worst = moved.argmax(axis=0)
+    release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(f.size)] > 0.0)
+    bound[worst[release], f[release]] = False
+    changed[f[release]] = True
     return changed, residual
 
 
@@ -247,8 +233,8 @@ def _active_set(qp, cfg, GX, V):
     clipped to the box as the start V.  The initial working set is the
     set of bounds that V touches.
     Each pass sorts the pending columns by working set and gathers each
-    group, so the group shares one cached factor and hands BLAS
-    column-major operands.
+    group, so the group shares one inverse and hands BLAS column-major
+    operands.
     Writes V in place and returns (V, ok): ok marks the columns that
     finished within cfg.iter_cap working-set changes and whose
     certificate, the scaled fixed-point residual ||nu - T(nu)|| / (1 + ||nu||)
@@ -300,7 +286,7 @@ def solve_benchmark(qp, cfg, x):
     X, sx = _batched(x, qp.W.shape[0], "x")
     GX = qp.G @ X
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    inv = _free_inverse(qp, np.ones(qp.H.shape[0], dtype=bool))
+    inv = qp.H_inv
 
     def certified(GX, V):
         residual = _norms(V - _pgm_steps(qp, cfg, GX, V, 1)) / (1.0 + _norms(V))

@@ -43,6 +43,9 @@ class BoxSet:
             )
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise NumericsError("box bounds must be finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(upper - lower)):
+                raise NumericsError("box width upper - lower must be finite")
         if not np.all(lower < upper):
             raise NumericsError("box requires lower < upper componentwise")
         if not np.all((lower < 0.0) & (upper > 0.0)):

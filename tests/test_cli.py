@@ -379,6 +379,9 @@ def test_fractional_repeats_key_exits_1(tmp_path, capsys):
     ("ediss_horizn = 2", ["constants"], "'ediss_horizn'"),
     ("A = [[0.5, 0.0], [0.0, 0.5]]\nB = [[1.0], [0.0]]", ["constants"], "(A, B)"),
     ("A = [[0.5, 0.0], [0.0, 0.5]]", ["constants"], "(A_c, B_c, T_s)"),
+    ("Q = [[1.0]]", ["constants"], "'Q' has shape (1, 1), expected (2, 2)"),
+    ("R = [[1.0, 0.0], [0.0, 1.0]]", ["run", "6"], "'R' has shape (2, 2), expected (1, 1)"),
+    ("u_min = [-1e308]\nu_max = [1e308]", ["probe"], "box width upper - lower must be finite"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
     conf = write_conf(tmp_path, extra=extra + "\n")
@@ -493,12 +496,15 @@ OVERFLOW_MESSAGE = "G x0 contains non-finite entries"
     (["probe"], INF_X0, INF_MESSAGE), (["calibrate-N"], INF_X0, INF_MESSAGE),
     (["run", "3"], INF_X0 + "nu_init = optimal\n", INF_MESSAGE),
     (["sweep"], OVERFLOW_X0, OVERFLOW_MESSAGE), (["run", "3"], OVERFLOW_X0, OVERFLOW_MESSAGE),
+    (["constants"], "T_s = 1e6\n", "A contains non-finite entries"),
 ], ids=["run 3", "run benchmark", "sweep", "constants", "probe", "calibrate-N",
-        "run 3 nu_init=optimal", "sweep G x0 overflow", "run 3 G x0 overflow"])
+        "run 3 nu_init=optimal", "sweep G x0 overflow", "run 3 G x0 overflow",
+        "constants exp(A_c T_s) overflow"])
 def test_non_finite_x0_exits_3_at_once(tmp_path, capsys, verbs, extra, message):
     # 1e400 parses to inf, and G x0 overflows at 1e308; the loop would
     # otherwise run the fallback on NaN to iter_cap.  Every verb ends before
-    # any fit or solve, with no numpy warning, so nothing is fitted or written
+    # any fit or solve, with no numpy warning, so nothing is fitted or written.
+    # A huge T_s overflows the discretization's squaring in the same way
     conf = write_conf(tmp_path, extra=extra)
     out = tmp_path / "out"
     assert cli.main(["--config", conf, "--out", str(out), *verbs]) == 3

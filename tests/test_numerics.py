@@ -178,6 +178,15 @@ def test_dare_rejects_unstabilizable_pair():
         T.solve_dare([[2.0]], [[0.0]], [[1.0]], [[1.0]])
 
 
+@pytest.mark.parametrize("Q, R, shown", [
+    ([[1.0]], [[1.0]], r"Q has shape \(1, 1\), expected \(2, 2\)"),
+    (np.eye(2), np.eye(2), r"R has shape \(2, 2\), expected \(1, 1\)"),
+])
+def test_dare_rejects_mis_shaped_weights(Q, R, shown):
+    with pytest.raises(T.NumericsError, match=shown):
+        T.solve_dare(0.5 * np.eye(2), [[1.0], [0.0]], Q, R)
+
+
 # --- zero-order-hold discretization ---
 
 

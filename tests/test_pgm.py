@@ -250,26 +250,33 @@ def test_exact_solve_certifies_ill_conditioned_horizon(pend, no_fallback):
     assert np.all(_certificate(long, cfg, X, MU) <= cfg.tol_benchmark)
 
 
-def test_factor_cache_is_per_problem(pend):
+def test_inverses_are_per_problem(pend, monkeypatch):
     # same horizon and box, different input weight: same masks, different H
     other = T.build_condensed(pend.model, pend.Q, 4.0 * pend.R, pend.P, pend.N, pend.box)
     cfg = T.pgm_config(other)
     X = np.outer(pend.x0, np.linspace(-6.0, 6.0, 13))
+    masks = {id(pend.qp): set(), id(other): set()}
+    active_set_pass = tdmpc.pgm._active_set_pass
+
+    def recorded(qp, cfg, free, GX, V, bound):
+        masks[id(qp)].add(free.tobytes())
+        return active_set_pass(qp, cfg, free, GX, V, bound)
+
+    monkeypatch.setattr(tdmpc.pgm, "_active_set_pass", recorded)
     for qp, c in ((pend.qp, pend.cfg), (other, cfg)):
         MU = T.solve_benchmark(qp, c, X)
         oracle = T.solve_benchmark_pgm(qp, c, X)
         res = c.tol_benchmark / (1.0 - c.eta)
         assert np.all(np.linalg.norm(MU - oracle, axis=0)
                       <= 10.0 * res * (1.0 + np.linalg.norm(MU, axis=0)))
-        for key, inv in qp.factor_cache.items():
-            free = np.frombuffer(key, dtype=bool)
-            assert np.allclose(inv @ qp.H[np.ix_(free, free)], np.eye(free.sum()))
-    assert pend.qp.factor_cache is not other.factor_cache
-    shared = [k for k in set(pend.qp.factor_cache) & set(other.factor_cache)
-              if np.frombuffer(k, dtype=bool).any()]
+        assert np.array_equal(qp.H_inv, np.linalg.inv(qp.H))
+    assert pend.qp.H_inv is not other.H_inv
+    shared = [np.frombuffer(k, dtype=bool) for k in masks[id(pend.qp)] & masks[id(other)]]
+    shared = [free for free in shared if free.any()]
     assert shared
-    for key in shared:
-        assert not np.allclose(pend.qp.factor_cache[key], other.factor_cache[key])
+    for free in shared:
+        block = np.ix_(free, free)
+        assert not np.allclose(np.linalg.inv(pend.qp.H[block]), np.linalg.inv(other.H[block]))
 
 
 def test_active_set_cap_with_capped_fallback_raises(pend):
@@ -297,7 +304,7 @@ def _gather_pass(qp, cfg, free, GX, V, bound):
     pass has to match bit for bit.
     """
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    inv = tdmpc.pgm._free_inverse(qp, free)
+    inv = np.linalg.inv(qp.H[np.ix_(free, free)])
     HF = qp.H[free]
     p = -inv @ (HF @ V + GX[free])
     v = V[free]
@@ -474,7 +481,7 @@ def test_inside_columns_are_the_unconstrained_minimizer(pend, random_instance, p
     inside = outside = 0
     for model, qp, cfg in _problems(pend, random_instance, rng, 30):
         lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-        inv = tdmpc.pgm._free_inverse(qp, np.ones(qp.H.shape[0], dtype=bool))
+        inv = qp.H_inv
         # tiny states: -H^{-1} G x lies strictly inside the box, and is returned
         # as it is, without an active-set pass
         X = rng.standard_normal((model.n, 5)) * 1e-3
@@ -508,7 +515,7 @@ def test_uncertified_inside_columns_are_refined_before_the_active_set(pend, monk
     cfg = T.pgm_config(long)
     X = np.outer(pend.x0, np.logspace(-3.0, -1.0, 20))
     lo, hi = long.nu_box.lower[:, None], long.nu_box.upper[:, None]
-    inv = tdmpc.pgm._free_inverse(long, np.ones(long.H.shape[0], dtype=bool))
+    inv = long.H_inv
     U = -(inv @ (long.G @ X))
     assert np.all((lo < U) & (U < hi))
     assert np.any(_certificate(long, cfg, X, U) > cfg.tol_benchmark)

@@ -73,6 +73,7 @@ def test_every_plant_step_goes_through_model_step(pend, pend_certs, monkeypatch)
     assert np.array_equal(states[1:], np.array(outputs))
 
 
+@pytest.mark.filterwarnings("error")
 def test_box_validation():
     with pytest.raises(T.NumericsError):
         T.BoxSet([1.0], [1.0])  # empty interval
@@ -80,6 +81,10 @@ def test_box_validation():
         T.BoxSet([0.0], [1.0])  # origin on the boundary
     with pytest.raises(T.NumericsError):
         T.BoxSet([0.5], [1.0])  # origin outside
+    # finite bounds whose width overflows, without an overflow warning
+    with pytest.raises(T.NumericsError, match="box width upper - lower must be finite"):
+        T.BoxSet([-1.0, -1e308], [1.0, 1e308])
+    assert T.BoxSet([-1e307], [1e307]).dim == 1
     box = T.BoxSet([-1.0, -2.0], [3.0, 0.5])
     assert box.dim == 2
 
