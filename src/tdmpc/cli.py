@@ -256,6 +256,11 @@ def build_model(conf):
         raise ConfigError(
             f"configuration keys 'u_min'/'u_max' have {box.dim} entries, expected {model.m}"
         )
+    # the certificates and probes square norms of points and differences in the horizon's box
+    with np.errstate(over="ignore"):
+        if not np.isfinite(conf["N"] * np.square(box.upper - box.lower).sum()):
+            raise ConfigError("configuration keys 'u_min'/'u_max': the squared diameter "
+                              "N ||u_max - u_min||^2 of the horizon's input box overflows")
     if conf["x0"].size != model.n:
         raise ConfigError(
             f"configuration key 'x0' has {conf['x0'].size} entries, expected {model.n}"

@@ -20,8 +20,9 @@ class CondensedQp:
 
     H_inv is the inverse of H, for the reference minimizer's first stage.
     step_cache maps a step size alpha to the controller's stacked
-    iteration matrix [I - 2 alpha H, I].  Both live on the instance so
-    they can only ever serve this problem.
+    iteration matrix [I - 2 alpha H, I], and (alpha, eta) to the ball
+    certificate's rounding constants.  All live on the instance so they
+    can only ever serve this problem.
     """
 
     def __init__(self, N, H, G, W, S, B_bar, u_box, nu_box, Q, R, P):
@@ -65,29 +66,35 @@ def build_condensed(model, Q, R, P, N, u_box):
         raise NumericsError(f"input box has dimension {u_box.dim}, expected {m}")
 
     A, B = model.A, model.B
-    # prediction matrices: row block i (i = 1..N) gives x_i = A^i x + sum_j A^{i-1-j} B u_j
-    F = np.zeros((N * n, n))
-    L = np.zeros((N * n, N * m))
-    Apow = np.eye(n)
-    for i in range(N):
-        Apow = A @ Apow
-        F[i * n:(i + 1) * n, :] = Apow
-    for i in range(N):
-        blk = B
-        for j in range(i, -1, -1):
-            L[i * n:(i + 1) * n, j * m:(j + 1) * m] = blk
-            blk = A @ blk
-    Qbar = np.zeros((N * n, N * n))
-    for i in range(N - 1):
-        Qbar[i * n:(i + 1) * n, i * n:(i + 1) * n] = Q
-    Qbar[(N - 1) * n:, (N - 1) * n:] = P
-    Rbar = np.kron(np.eye(N), R)
+    # the products overflow at long horizons of an unstable A: one error, no numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        # prediction matrices: row block i (i = 1..N) gives x_i = A^i x + sum_j A^{i-1-j} B u_j
+        F = np.zeros((N * n, n))
+        L = np.zeros((N * n, N * m))
+        Apow = np.eye(n)
+        for i in range(N):
+            Apow = A @ Apow
+            F[i * n:(i + 1) * n, :] = Apow
+        for i in range(N):
+            blk = B
+            for j in range(i, -1, -1):
+                L[i * n:(i + 1) * n, j * m:(j + 1) * m] = blk
+                blk = A @ blk
+        Qbar = np.zeros((N * n, N * n))
+        for i in range(N - 1):
+            Qbar[i * n:(i + 1) * n, i * n:(i + 1) * n] = Q
+        Qbar[(N - 1) * n:, (N - 1) * n:] = P
+        Rbar = np.kron(np.eye(N), R)
 
-    H = L.T @ Qbar @ L + Rbar
-    H = 0.5 * (H + H.T)
-    G = L.T @ Qbar @ F
-    W = Q + F.T @ Qbar @ F
-    W = 0.5 * (W + W.T)
+        H = L.T @ Qbar @ L + Rbar
+        H = 0.5 * (H + H.T)
+        G = L.T @ Qbar @ F
+        W = Q + F.T @ Qbar @ F
+        W = 0.5 * (W + W.T)
+    bad = [k for k, X in zip("FLHGW", (F, L, H, G, W)) if not np.isfinite(X).all()]
+    if bad:
+        raise NumericsError(
+            f"condensing overflows at horizon {N}: {', '.join(bad)} contain non-finite entries")
 
     S = np.zeros((m, N * m))
     S[:, :m] = np.eye(m)

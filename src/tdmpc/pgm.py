@@ -9,6 +9,7 @@ per step, uniformly in x.  The controller runs the step in its stacked
 affine form nu <- P(S [nu; c]), with S = [I - 2 alpha H, I] cached per
 problem and step size and c = -2 alpha G x formed once per call: the
 same map, whose iterates differ from the gradient form's only by rounding.
+Untimed runs drop it, one C call a step, once a ball certificate proves it idle.
 
 The reference minimizer mu*(x) itself comes from a chain of three
 solves, each accepting only the columns that pass one certificate on the
@@ -92,6 +93,45 @@ def _pgm_steps(qp, cfg, GX, V, ell):
     return V
 
 
+def _ball_certified(qp, cfg, GX, V):
+    """Whether no clip acts in any kernel step from V: the ball certificate.
+
+    Unclipped, a step fixes z = -H^{-1} G x and contracts by ||M|| <= eta,
+    so the iterates stay within r = ||V - z|| of z, and a box that strictly
+    holds that ball is never touched (Leung, Liao-McPherson & Kolmanovsky,
+    ACC 2021).  In floats a step from within R of z lands within
+    (eta + delta) R + rho + g (||z|| + ||c|| + R) of it: delta is the gap
+    between eta and the float M's norm, rho = ||fl(S [z; c]) - z|| is z's
+    fixed-point residual, g = gamma_2d ||S||_F bounds the gemv's rounding
+    (Higham, 2002, sec. 3.5).  So the radius R = r + s is invariant for
+    s = 2 (rho + g (||z|| + ||c|| + r) + delta r) / (1 - eta - 2 (g + delta)),
+    the 2 covering the rounding of rho, of the norms and of R.  The test
+    lo < z - R, z + R < hi is strict: clip would return every value as is.
+    """
+    d, key = len(V), (cfg.alpha, cfg.eta)
+    if key not in qp.step_cache:  # S as _pgm_steps caches it; g (k u = 2 d 2**-53), delta
+        M = np.eye(d) - (2.0 * cfg.alpha) * qp.H
+        S, ku = qp.step_cache.setdefault(cfg.alpha, np.hstack([M, np.eye(d)])), d * 2.0**-52
+        qp.step_cache[key] = ku / (1 - ku) * np.linalg.norm(S), abs(np.linalg.norm(M, 2) - cfg.eta)
+    (g, delta), lo, hi = qp.step_cache[key], qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    room = 1.0 - cfg.eta - 2.0 * (g + delta)
+    with np.errstate(all="ignore"):
+        z, c = -(qp.H_inv @ GX), GX * (-2.0 * cfg.alpha)
+        rho, r = _norms(qp.step_cache[cfg.alpha].dot(np.vstack([z, c])) - z), _norms(V - z)
+        R = r + 2.0 * (rho + g * (_norms(z) + _norms(c) + r) + delta * r) / room
+        return room > 0.0 and bool(((lo < z - R) & (z + R < hi)).all())
+
+
+def _unclipped_steps(qp, cfg, GX, V, ell):
+    """_pgm_steps from a V that passed _ball_certified: same bits, one S.dot a step."""
+    Y, Z = (np.ascontiguousarray(np.vstack([V, GX * (-2.0 * cfg.alpha)])) for _ in range(2))
+    dot, a, b = qp.step_cache[cfg.alpha].dot, Y[:len(V)], Z[:len(V)]
+    for _ in range(ell >> 1):
+        dot(Y, b)
+        dot(Z, a)
+    return dot(Y, b) if ell & 1 else a
+
+
 _CYCLE_WINDOW = 60
 
 
@@ -108,17 +148,20 @@ def _pgm_iterate_untimed(qp, cfg, x, nu, ell):
     caller's nu, whose layout may differ, so equal bytes mean equal bits
     (np.array_equal would also match 0.0 with -0.0).  The skipped steps
     never execute, so this must not be timed: timed runs use pgm_iterate.
+    Once the ball certificate passes before a window, the rest runs _unclipped_steps.
     """
     X, V, squeeze = _batched_pair(qp, x, nu)
     GX, W = qp.G @ X, _CYCLE_WINDOW
-    left, ends = ell, {}
+    left, ends, steps = ell, {}, _pgm_steps
     while left >= W:
-        V, left = _pgm_steps(qp, cfg, GX, V, W), left - W
+        if steps is not _unclipped_steps and _ball_certified(qp, cfg, GX, V):
+            steps = _unclipped_steps
+        V, left = steps(qp, cfg, GX, V, W), left - W
         earlier = ends.setdefault(V.tobytes(), left)
         if earlier != left:
             left %= earlier - left
             break
-    out = _pgm_steps(qp, cfg, GX, V, left)
+    out = steps(qp, cfg, GX, V, left)
     return out[:, 0] if squeeze else out
 
 

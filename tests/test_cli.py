@@ -382,6 +382,8 @@ def test_fractional_repeats_key_exits_1(tmp_path, capsys):
     ("Q = [[1.0]]", ["constants"], "'Q' has shape (1, 1), expected (2, 2)"),
     ("R = [[1.0, 0.0], [0.0, 1.0]]", ["run", "6"], "'R' has shape (2, 2), expected (1, 1)"),
     ("u_min = [-1e308]\nu_max = [1e308]", ["probe"], "box width upper - lower must be finite"),
+    ("u_min = [-5e307]\nu_max = [5e307]", ["constants"], "input box overflows"),
+    ("u_min = [-5e307]\nu_max = [5e307]", ["probe"], "input box overflows"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
     conf = write_conf(tmp_path, extra=extra + "\n")
@@ -511,6 +513,47 @@ def test_non_finite_x0_exits_3_at_once(tmp_path, capsys, verbs, extra, message):
     captured = capsys.readouterr()
     assert captured.err == f"numerical failure: {message}\n"
     assert captured.out == "" and list(out.iterdir()) == []
+
+
+# an unstable scalar plant: A^N overflows from N = 309
+UNSTABLE = """\
+A = [[10.0]]
+B = [[1.0]]
+Q = [[1.0]]
+R = [[1.0]]
+u_min = [-1.0]
+u_max = [1.0]
+x0 = [0.1]
+T = 5
+N = 400
+"""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verbs", [["constants"], ["probe"], ["run", "6"], ["sweep"]])
+def test_overflowing_condensing_exits_3_with_one_line(tmp_path, capsys, verbs):
+    # the prediction matrices overflow: one numerical failure naming them, no numpy warning
+    conf = tmp_path / "unstable.conf"
+    conf.write_text(UNSTABLE)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(conf), "--out", str(out), *verbs]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: condensing overflows at horizon 400: "
+                            "F, L, H, G, W contain non-finite entries\n")
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_calibrate_n_stops_at_the_first_indefinite_hessian(tmp_path, capsys):
+    # calibrate-N scans N = 1, 2, ... and never reaches an overflowing
+    # horizon: at N = 9 H is finite, but cond(H) is about 1e18, so its
+    # computed least eigenvalue is negative
+    conf = tmp_path / "unstable.conf"
+    conf.write_text(UNSTABLE)
+    assert cli.main(["--config", str(conf), "--out", str(tmp_path / "cal"), "calibrate-N"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: H is not positive definite")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -130,3 +130,16 @@ def test_build_rejects_bad_inputs(small):
         T.build_condensed(model, Q, np.zeros((1, 1)), P, 3, box)
     with pytest.raises(T.NumericsError):
         T.build_condensed(model, Q, R, P, 3, T.BoxSet([-1.0, -1.0], [1.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_build_names_overflowing_prediction_matrices():
+    # A^N overflows from N = 309; below that only the products H, G and W do
+    model = T.LtiModel([[10.0]], [[1.0]])
+    P, _ = T.solve_dare(model.A, model.B, np.eye(1), np.eye(1))
+    box = T.BoxSet([-1.0], [1.0])
+    for N, names in ((400, "F, L, H, G, W"), (200, "H, G, W")):
+        with pytest.raises(T.NumericsError, match=f"condensing overflows at horizon {N}: "
+                                                  f"{names} contain non-finite entries"):
+            T.build_condensed(model, np.eye(1), np.eye(1), P, N, box)
+    assert np.isfinite(T.build_condensed(model, np.eye(1), np.eye(1), P, 100, box).H).all()

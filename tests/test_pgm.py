@@ -822,15 +822,24 @@ ELLS = (1, W - 1, W, W + 1, 2 * W, 2300, 5000)
 
 @pytest.fixture
 def kernel_steps(monkeypatch):
-    """Counts the projected gradient steps the kernel actually executes."""
-    count = [0]
-    kernel = tdmpc.pgm._pgm_steps
+    """Counts the projected gradient steps the two kernels actually execute.
 
-    def counted(qp, cfg, GX, V, ell):
-        count[0] += ell
-        return kernel(qp, cfg, GX, V, ell)
+    count[0] is the steps of both, count[1] those of the clip-free kernel.
+    """
+    count = [0, 0]
 
-    monkeypatch.setattr(tdmpc.pgm, "_pgm_steps", counted)
+    def counting(name, clip_free):
+        kernel = getattr(tdmpc.pgm, name)
+
+        def counted(qp, cfg, GX, V, ell):
+            count[0] += ell
+            count[1] += ell if clip_free else 0
+            return kernel(qp, cfg, GX, V, ell)
+
+        monkeypatch.setattr(tdmpc.pgm, name, counted)
+
+    counting("_pgm_steps", False)
+    counting("_unclipped_steps", True)
     return count
 
 
@@ -935,6 +944,7 @@ def test_untimed_iterate_tells_zero_signs_apart(pend, monkeypatch):
         return np.where(bits, -0.0, 0.0)
 
     monkeypatch.setattr(tdmpc.pgm, "_pgm_steps", signed_zeros)
+    monkeypatch.setattr(tdmpc.pgm, "_unclipped_steps", signed_zeros)
     nu = np.zeros(pend.qp.H.shape[0])
     out = tdmpc.pgm._pgm_iterate_untimed(pend.qp, pend.cfg, pend.x0, nu, 10 * W)
     assert calls == [W] * 10 + [0]
@@ -951,11 +961,121 @@ def test_untimed_iterate_skips_a_period_that_does_not_divide_the_window(pend, mo
         return (V + ell) % period
 
     monkeypatch.setattr(tdmpc.pgm, "_pgm_steps", count)
+    monkeypatch.setattr(tdmpc.pgm, "_unclipped_steps", count)
     nu = np.zeros(pend.qp.H.shape[0])
     ell = 1001 * W + 7
     out = tdmpc.pgm._pgm_iterate_untimed(pend.qp, pend.cfg, pend.x0, nu, ell)
     assert calls == [W] * 4 + [W + 7]
     assert np.array_equal(out, np.full(nu.shape, float(ell % period)))
+
+
+# --- the ball certificate: where it passes, no clip acts ---
+
+
+def _ball_problems(pend, random_instance):
+    yield pend.qp, pend.cfg
+    setup = PendulumSetup(10)
+    yield setup.qp, setup.cfg
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        _, qp, cfg, _ = random_instance(rng)
+        yield qp, cfg
+
+
+def _ball_starts(qp, rng, k):
+    """(GX, V): states from near the origin to the box's scale, warm starts from
+    zeros, the unconstrained minimizer z itself and z moved by up to 10% of the box."""
+    n, d = qp.G.shape[1], qp.H.shape[0]
+    X = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3.0, 0.5, k)
+    GX = qp.G @ X
+    Z = -(qp.H_inv @ GX)
+    width = qp.nu_box.upper - qp.nu_box.lower
+    V = Z + rng.standard_normal((d, k)) * width[:, None] * 10.0 ** rng.uniform(-6.0, -1.0, k)
+    V[:, 0], V[:, 1] = 0.0, Z[:, 1]
+    return GX, V
+
+
+def test_ball_certificate_means_no_clip_acts(pend, random_instance, monkeypatch):
+    # wherever the certificate passes, the projected and the clip-free
+    # kernels give the same bits over 5,000 steps, batched and single, and
+    # a stand-in clip that records what it is handed sees every value
+    # strictly inside the box
+    rng = np.random.default_rng(48)
+    cert, kernel, free = tdmpc.pgm._ball_certified, tdmpc.pgm._pgm_steps, tdmpc.pgm._unclipped_steps
+    seen, clip = [], tdmpc.pgm._clip
+    monkeypatch.setattr(tdmpc.pgm, "_clip",
+                        lambda T, lo, hi, out: (seen.append(T.copy()), clip(T, lo, hi, out))[1])
+    passed = rejected = 0
+    for qp, cfg in _ball_problems(pend, random_instance):
+        GX, V = _ball_starts(qp, rng, 8)
+        ok = np.array([cert(qp, cfg, GX[:, [j]], V[:, [j]]) for j in range(V.shape[1])])
+        assert ok.any()
+        passed, rejected = passed + ok.sum(), rejected + (~ok).sum()
+        GX, V = GX[:, ok], V[:, ok]
+        assert cert(qp, cfg, GX, V)
+        lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+        for Gc, Vc in ((GX, V), (GX[:, -1:], V[:, -1:])):
+            for ell in (0, 1, 61, 5000):
+                seen.clear()
+                a, b = kernel(qp, cfg, Gc, Vc, ell), free(qp, cfg, Gc, Vc, ell)
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+                pre = np.array(seen)
+                assert len(pre) == ell and ((lo < pre) & (pre < hi)).all()
+    assert passed >= 100 and rejected > 0
+
+
+def test_untimed_iterate_drops_the_clip_once_certified(pend, kernel_steps):
+    # near the origin the preset's minimizer lies inside the box: from a cold
+    # start the first window is certified and every step runs clip-free
+    x, nu = 0.01 * pend.x0, np.zeros(pend.qp.H.shape[0])
+    for ell in (W - 1, W, 2 * W + 1, 5000):
+        before = list(kernel_steps)
+        out, executed = _untimed(pend.qp, pend.cfg, x, nu, ell, kernel_steps)
+        assert out.tobytes() == T.pgm_iterate(pend.qp, pend.cfg, x, nu, ell).tobytes()
+        clip_free = kernel_steps[1] - before[1]
+        assert clip_free == (0 if ell < W else executed)
+
+
+def _ball_case(pend):
+    """(GX, z, V) near the origin, with V = z moved by 1e-3 along the first input."""
+    GX = pend.qp.G @ (0.01 * pend.x0)[:, None]
+    z = -(pend.qp.H_inv @ GX)
+    V = z.copy()
+    V[0] += 1e-3
+    return GX, z, V
+
+
+def test_ball_certificate_rejects_a_ball_within_the_allowance_of_a_bound(pend):
+    # the ball of radius ||V - z|| lies strictly inside the box, but its
+    # upper bound on the first input sits one float above it: the rounding
+    # allowance s must push the ball across that bound
+    GX, z, V = _ball_case(pend)
+    r = np.linalg.norm(V - z)
+    lo, hi = pend.qp.nu_box.lower.copy(), pend.qp.nu_box.upper.copy()
+    qp = copy.copy(pend.qp)
+    for margin in (0.0, 1e-16, 1e-3):
+        up = hi.copy()
+        up[0] = np.nextafter(z[0, 0] + r, np.inf) + margin
+        qp.nu_box = SimpleNamespace(lower=lo, upper=up)
+        assert ((lo[:, None] < z - r) & (z + r < up[:, None])).all()
+        assert tdmpc.pgm._ball_certified(qp, pend.cfg, GX, V) == (margin == 1e-3), margin
+
+
+def test_ball_certificate_rejects_a_warm_start_on_a_bound(pend):
+    GX, z, _ = _ball_case(pend)
+    box = pend.qp.nu_box
+    assert tdmpc.pgm._ball_certified(pend.qp, pend.cfg, GX, z)
+    for i in (0, 2, len(z) - 1):
+        for bound in (box.lower[i], box.upper[i]):
+            V = z.copy()
+            V[i] = bound
+            assert not tdmpc.pgm._ball_certified(pend.qp, pend.cfg, GX, V), (i, bound)
+    # non-finite warm starts and states are never certified
+    for bad in (np.nan, np.inf):
+        V = z.copy()
+        V[1] = bad
+        assert not tdmpc.pgm._ball_certified(pend.qp, pend.cfg, GX, V)
+        assert not tdmpc.pgm._ball_certified(pend.qp, pend.cfg, np.full_like(GX, bad), z)
 
 
 def test_iteration_count_must_be_an_integer(pend):
