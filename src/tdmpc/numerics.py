@@ -65,6 +65,11 @@ def _spd_eig(S, name):
     """sym_eig(S, name), raising NumericsError unless S is positive definite."""
     e = sym_eig(S, name)
     if e.min <= 0.0:
+        # eigh is exact for a matrix within about dim eps ||S|| of S (Higham, 2002, ch. 7)
+        if -e.min < len(e.eigenvalues) * np.finfo(float).eps * e.max:
+            raise NumericsError(f"{name} is not positive definite to working precision: min "
+                                f"eigenvalue {e.min:.3e} is below rounding level for max eigenvalue "
+                                f"{e.max:.3e}, so {name} is too ill-conditioned to tell")
         raise NumericsError(f"{name} is not positive definite: min eigenvalue {e.min:.3e}")
     return e
 

@@ -9,7 +9,8 @@ per step, uniformly in x.  The controller runs the step in its stacked
 affine form nu <- P(S [nu; c]), with S = [I - 2 alpha H, I] cached per
 problem and step size and c = -2 alpha G x formed once per call: the
 same map, whose iterates differ from the gradient form's only by rounding.
-Untimed runs drop it, one C call a step, once a ball certificate proves it idle.
+Calls of two windows of steps or more drop it, one C call a step, once a
+ball certificate proves it idle; timed calls still execute every step.
 
 The reference minimizer mu*(x) itself comes from a chain of three
 solves, each accepting only the columns that pass one certificate on the
@@ -20,6 +21,7 @@ rest; and the iteration run to convergence as the last fallback and the
 test oracle.
 """
 
+import math
 import operator
 
 import numpy as np
@@ -93,8 +95,8 @@ def _pgm_steps(qp, cfg, GX, V, ell):
     return V
 
 
-def _ball_certified(qp, cfg, GX, V):
-    """Whether no clip acts in any kernel step from V: the ball certificate.
+def _ball_certificate(qp, cfg, GX):
+    """The ball certificate's per-call part: None if no check can pass, else check(V).
 
     Unclipped, a step fixes z = -H^{-1} G x and contracts by ||M|| <= eta,
     so the iterates stay within r = ||V - z|| of z, and a box that strictly
@@ -105,10 +107,13 @@ def _ball_certified(qp, cfg, GX, V):
     fixed-point residual, g = gamma_2d ||S||_F bounds the gemv's rounding
     (Higham, 2002, sec. 3.5).  So the radius R = r + s is invariant for
     s = 2 (rho + g (||z|| + ||c|| + r) + delta r) / (1 - eta - 2 (g + delta)),
-    the 2 covering the rounding of rho, of the norms and of R.  The test
-    lo < z - R, z + R < hi is strict: clip would return every value as is.
+    the 2 covering the rounding of rho, of the norms and of R.  check(V)
+    forms r and R and returns 0 when lo < z - R, z + R < hi strictly (clip
+    returns every value as is), else the steps to wait (see _iterate).  The
+    rest is formed once: as R >= 0, no check passes when z is not strictly
+    inside the box or the allowance at r = 0 fills the room m left to it.
     """
-    d, key = len(V), (cfg.alpha, cfg.eta)
+    d, key = len(GX), (cfg.alpha, cfg.eta)
     if key not in qp.step_cache:  # S as _pgm_steps caches it; g (k u = 2 d 2**-53), delta
         M = np.eye(d) - (2.0 * cfg.alpha) * qp.H
         S, ku = qp.step_cache.setdefault(cfg.alpha, np.hstack([M, np.eye(d)])), d * 2.0**-52
@@ -117,13 +122,26 @@ def _ball_certified(qp, cfg, GX, V):
     room = 1.0 - cfg.eta - 2.0 * (g + delta)
     with np.errstate(all="ignore"):
         z, c = -(qp.H_inv @ GX), GX * (-2.0 * cfg.alpha)
-        rho, r = _norms(qp.step_cache[cfg.alpha].dot(np.vstack([z, c])) - z), _norms(V - z)
-        R = r + 2.0 * (rho + g * (_norms(z) + _norms(c) + r) + delta * r) / room
-        return room > 0.0 and bool(((lo < z - R) & (z + R < hi)).all())
+        rho = _norms(qp.step_cache[cfg.alpha].dot(np.vstack([z, c])) - z)
+        s0, m = _norms(z) + _norms(c), np.minimum(z - lo, hi - z)
+        need = (room * m - 2.0 * (rho + g * s0)) / (room + 2.0 * (g + delta))
+        if not (room > 0.0 and (need > 0.0).all()):  # need > 0 needs m > 0: lo < z < hi
+            return None
+
+    def check(V):
+        with np.errstate(all="ignore"):
+            r = _norms(V - z)
+            R = r + 2.0 * (rho + g * (s0 + r) + delta * r) / room
+            if ((lo < z - R) & (z + R < hi)).all():
+                return 0
+            j = (np.log(need / r) / np.log(cfg.eta)).max()
+        return max(_CYCLE_WINDOW, math.ceil(j)) if np.isfinite(j) else math.inf
+
+    return check
 
 
 def _unclipped_steps(qp, cfg, GX, V, ell):
-    """_pgm_steps from a V that passed _ball_certified: same bits, one S.dot a step."""
+    """_pgm_steps from a V that passed the ball certificate: same bits, one S.dot a step."""
     Y, Z = (np.ascontiguousarray(np.vstack([V, GX * (-2.0 * cfg.alpha)])) for _ in range(2))
     dot, a, b = qp.step_cache[cfg.alpha].dot, Y[:len(V)], Z[:len(V)]
     for _ in range(ell >> 1):
@@ -132,37 +150,56 @@ def _unclipped_steps(qp, cfg, GX, V, ell):
     return dot(Y, b) if ell & 1 else a
 
 
+# the gate: the per-call part of the ball certificate costs about 40 us and
+# one check 14-30 us, a clip-free step saves about 0.55 us (N = 5 and 10, one
+# column), so a call of fewer than two windows cannot pay for a check
 _CYCLE_WINDOW = 60
 
 
-def _pgm_iterate_untimed(qp, cfg, x, nu, ell):
-    """pgm_iterate(qp, cfg, x, nu, ell) for ell >= 1, skipping exact repeats of the orbit.
+def _iterate(qp, cfg, x, nu, ell, skip_repeats):
+    """ell projected gradient steps from nu at x: the controller's one driver.
 
-    Runs the kernel in windows of _CYCLE_WINDOW steps and keeps the bytes
-    of every window's last iterate with the steps then left.  For fixed GX
-    and box a step is a function of its input iterate, so once a window
-    ends on an iterate an earlier window ended on, the orbit repeats with
-    a period of the steps between the two, whatever that period is, and
-    only the remainder of ell modulo it is left to run.  The compared
-    iterates are kernel outputs (fresh C-ordered arrays), never the
-    caller's nu, whose layout may differ, so equal bytes mean equal bits
-    (np.array_equal would also match 0.0 with -0.0).  The skipped steps
-    never execute, so this must not be timed: timed runs use pgm_iterate.
-    Once the ball certificate passes before a window, the rest runs _unclipped_steps.
+    A call of ell >= 2 * _CYCLE_WINDOW steps checks the ball certificate at
+    entry and on a schedule; once a check passes, the rest runs
+    _unclipped_steps.  z strictly inside the box is mu*, which the
+    nonexpansive projection fixes, so the iterates approach it at rate eta,
+    ||V_j - z|| <= eta^j r, and R < m reads r < need, R being affine in r:
+    a check failing at r waits j = log(need / r) / log(eta) steps, the
+    most over the entries, at least a window (so rounding near the floor
+    cannot check every step), inf for r not finite.  The schedule only
+    decides when to test; the test alone decides.  Every step executes,
+    checks included, unless skip_repeats: then windows of _CYCLE_WINDOW
+    steps run, checks wait for a window boundary, and each window's last
+    iterate is kept by its bytes with the steps then left.  A step is a
+    function of its input for fixed GX and box, so once a window ends on
+    an earlier window's iterate, the orbit repeats with the steps between
+    the two as period, of any length, and only ell's remainder modulo it
+    runs.  The compared iterates are fresh C-ordered kernel outputs, so
+    equal bytes mean equal bits (np.array_equal would match 0.0 with -0.0).
     """
     X, V, squeeze = _batched_pair(qp, x, nu)
     GX, W = qp.G @ X, _CYCLE_WINDOW
-    left, ends, steps = ell, {}, _pgm_steps
-    while left >= W:
-        if steps is not _unclipped_steps and _ball_certified(qp, cfg, GX, V):
-            steps = _unclipped_steps
-        V, left = steps(qp, cfg, GX, V, W), left - W
-        earlier = ends.setdefault(V.tobytes(), left)
-        if earlier != left:
+    check = _ball_certificate(qp, cfg, GX) if ell >= 2 * W else None
+    steps, left, due, ends = _pgm_steps, ell, 0, {}
+    while left >= W if skip_repeats else check and left:
+        if check and due <= 0:
+            due = check(V)  # steps to the next check: 0 once certified, inf if none
+            if due == 0:
+                steps, check = _unclipped_steps, None
+                continue
+        n = W if skip_repeats else min(due, left)
+        V, left, due = steps(qp, cfg, GX, V, n), left - n, due - n
+        if skip_repeats and (earlier := ends.setdefault(V.tobytes(), left)) != left:
             left %= earlier - left
             break
     out = steps(qp, cfg, GX, V, left)
     return out[:, 0] if squeeze else out
+
+
+def _pgm_iterate_untimed(qp, cfg, x, nu, ell):
+    """pgm_iterate(qp, cfg, x, nu, ell) for ell >= 1, skipping exact repeats of the
+    orbit; the skipped steps never execute, so this must not be timed."""
+    return _iterate(qp, cfg, x, nu, ell, True)
 
 
 def _iteration_count(ell):
@@ -199,13 +236,11 @@ def certified_rate(eta, ell):
 
 
 def pgm_iterate(qp, cfg, x, nu, ell):
-    """Apply ell projected gradient steps; ell = 0 returns a copy of nu."""
+    """Apply ell projected gradient steps, each one executed; ell = 0 returns a copy of nu."""
     ell = _iteration_count(ell)
     if ell < 0:
         raise NumericsError(f"iteration count must be >= 0, got {ell}")
-    X, V, squeeze = _batched_pair(qp, x, nu)
-    out = _pgm_steps(qp, cfg, qp.G @ X, V, ell)
-    return out[:, 0] if squeeze else out
+    return _iterate(qp, cfg, x, nu, ell, False)
 
 
 def pgm_step(qp, cfg, x, nu):

@@ -557,6 +557,19 @@ def test_calibrate_n_stops_at_the_first_indefinite_hessian(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_calibrate_n_names_conditioning_as_the_cause(tmp_path, capsys):
+    # H >= R = 1 in exact arithmetic; the computed least eigenvalue at N = 9
+    # is far below rounding level for the largest, about 1e18
+    conf = tmp_path / "unstable.conf"
+    conf.write_text(UNSTABLE)
+    assert cli.main(["--config", str(conf), "--out", str(tmp_path / "cal"), "calibrate-N"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: H is not positive definite to working precision: "
+                   "min eigenvalue -1.205e+01 is below rounding level for max eigenvalue "
+                   "1.010e+18, so H is too ill-conditioned to tell\n")
+
+
+@pytest.mark.filterwarnings("error")
 def test_calibrate_n_never_forms_g_x0(tmp_path, capsys):
     conf = write_conf(tmp_path, extra=OVERFLOW_X0)
     assert cli.main(["--config", conf, "--out", str(tmp_path / "cal"), "calibrate-N"]) == 0

@@ -1,5 +1,7 @@
 """Linear-algebra kernel checks against closed forms and series oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,20 @@ def test_mat_sqrt_rejects_indefinite():
         T.mat_sqrt(np.diag([1.0, -1.0]))
     with pytest.raises(T.NumericsError):
         T.mat_inv_sqrt(np.diag([1.0, 0.0]))
+
+
+def test_spd_check_names_conditioning_below_rounding_level():
+    # a least eigenvalue within dim eps of the largest says nothing about
+    # its sign: the message names conditioning, not indefiniteness
+    for S, shown in ((np.diag([1e18, -12.0]), "-1.200e+01"), (np.diag([1.0, 0.0]), "0.000e+00")):
+        with pytest.raises(T.NumericsError, match=f"not positive definite to working precision: "
+                           f"min eigenvalue {re.escape(shown)} is below rounding level .* ill-conditioned"):
+            T.mat_sqrt(S, "H")
+    for S in (np.diag([2.0, -0.5]), np.zeros((2, 2))):
+        with pytest.raises(T.NumericsError, match=r"^H is not positive definite: min eigenvalue "
+                           r"\S+$"):
+            T.mat_sqrt(S, "H")
+    assert np.array_equal(T.mat_sqrt(np.diag([1.0, 1e-20])), np.diag([1.0, 1e-10]))
 
 
 def test_weighted_extremes_diagonal_example():

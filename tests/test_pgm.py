@@ -995,13 +995,19 @@ def _ball_starts(qp, rng, k):
     return GX, V
 
 
+def _certified(qp, cfg, GX, V):
+    """Whether V passes the ball certificate of GX: its per-call part, then one check."""
+    check = tdmpc.pgm._ball_certificate(qp, cfg, GX)
+    return check is not None and check(V) == 0
+
+
 def test_ball_certificate_means_no_clip_acts(pend, random_instance, monkeypatch):
     # wherever the certificate passes, the projected and the clip-free
     # kernels give the same bits over 5,000 steps, batched and single, and
     # a stand-in clip that records what it is handed sees every value
     # strictly inside the box
     rng = np.random.default_rng(48)
-    cert, kernel, free = tdmpc.pgm._ball_certified, tdmpc.pgm._pgm_steps, tdmpc.pgm._unclipped_steps
+    cert, kernel, free = _certified, tdmpc.pgm._pgm_steps, tdmpc.pgm._unclipped_steps
     seen, clip = [], tdmpc.pgm._clip
     monkeypatch.setattr(tdmpc.pgm, "_clip",
                         lambda T, lo, hi, out: (seen.append(T.copy()), clip(T, lo, hi, out))[1])
@@ -1026,14 +1032,15 @@ def test_ball_certificate_means_no_clip_acts(pend, random_instance, monkeypatch)
 
 def test_untimed_iterate_drops_the_clip_once_certified(pend, kernel_steps):
     # near the origin the preset's minimizer lies inside the box: from a cold
-    # start the first window is certified and every step runs clip-free
+    # start a call past the gate of two windows is certified at entry and
+    # every step runs clip-free; the oracle runs outside the counted window
     x, nu = 0.01 * pend.x0, np.zeros(pend.qp.H.shape[0])
-    for ell in (W - 1, W, 2 * W + 1, 5000):
+    for ell in (W - 1, W, 2 * W - 1, 2 * W, 2 * W + 1, 5000):
         before = list(kernel_steps)
         out, executed = _untimed(pend.qp, pend.cfg, x, nu, ell, kernel_steps)
-        assert out.tobytes() == T.pgm_iterate(pend.qp, pend.cfg, x, nu, ell).tobytes()
         clip_free = kernel_steps[1] - before[1]
-        assert clip_free == (0 if ell < W else executed)
+        assert out.tobytes() == T.pgm_iterate(pend.qp, pend.cfg, x, nu, ell).tobytes()
+        assert clip_free == (0 if ell < 2 * W else executed)
 
 
 def _ball_case(pend):
@@ -1058,24 +1065,138 @@ def test_ball_certificate_rejects_a_ball_within_the_allowance_of_a_bound(pend):
         up[0] = np.nextafter(z[0, 0] + r, np.inf) + margin
         qp.nu_box = SimpleNamespace(lower=lo, upper=up)
         assert ((lo[:, None] < z - r) & (z + r < up[:, None])).all()
-        assert tdmpc.pgm._ball_certified(qp, pend.cfg, GX, V) == (margin == 1e-3), margin
+        assert _certified(qp, pend.cfg, GX, V) == (margin == 1e-3), margin
 
 
 def test_ball_certificate_rejects_a_warm_start_on_a_bound(pend):
     GX, z, _ = _ball_case(pend)
     box = pend.qp.nu_box
-    assert tdmpc.pgm._ball_certified(pend.qp, pend.cfg, GX, z)
+    assert _certified(pend.qp, pend.cfg, GX, z)
     for i in (0, 2, len(z) - 1):
         for bound in (box.lower[i], box.upper[i]):
             V = z.copy()
             V[i] = bound
-            assert not tdmpc.pgm._ball_certified(pend.qp, pend.cfg, GX, V), (i, bound)
+            assert not _certified(pend.qp, pend.cfg, GX, V), (i, bound)
     # non-finite warm starts and states are never certified
     for bad in (np.nan, np.inf):
         V = z.copy()
         V[1] = bad
-        assert not tdmpc.pgm._ball_certified(pend.qp, pend.cfg, GX, V)
-        assert not tdmpc.pgm._ball_certified(pend.qp, pend.cfg, np.full_like(GX, bad), z)
+        assert not _certified(pend.qp, pend.cfg, GX, V)
+        assert not _certified(pend.qp, pend.cfg, np.full_like(GX, bad), z)
+
+
+def test_ball_certificate_per_call_part_says_never(pend):
+    # no check can pass when z is not strictly inside the box or the room
+    # left between z and the box, or in 1 - eta, is used up by rounding
+    GX, z, _ = _ball_case(pend)
+    cert = tdmpc.pgm._ball_certificate
+    assert cert(pend.qp, pend.cfg, GX) is not None
+    far = pend.qp.G @ (100.0 * pend.x0)[:, None]
+    assert (np.abs(pend.qp.H_inv @ far) > 1.0).any()
+    assert cert(pend.qp, pend.cfg, far) is None
+    assert cert(pend.qp, pend.cfg, np.hstack([GX, far])) is None
+    lo = pend.qp.nu_box.lower
+    qp = copy.copy(pend.qp)
+    at, ulp = z[0, 0], np.nextafter(z[0, 0], np.inf)
+    for up0, never in ((at, True), (ulp, True), (at + 1e-3, False)):
+        up = pend.qp.nu_box.upper.copy()
+        up[0] = up0
+        qp.nu_box = SimpleNamespace(lower=lo, upper=up)
+        assert (cert(qp, pend.cfg, GX) is None) == never, up0
+    # eta one ulp below 1: the rounding allowance exceeds 1 - eta
+    qp = copy.copy(pend.qp)
+    qp.step_cache = {}
+    cfg = copy.copy(pend.cfg)
+    cfg.eta = 1.0 - 2.0**-52
+    assert cert(qp, cfg, GX) is None
+
+
+def test_timed_iterate_executes_every_step(pend, kernel_steps):
+    # a timed call executes all ell steps, checks included; past the gate of
+    # two windows a certified call runs them clip-free, below it none
+    qp, cfg, d = pend.qp, pend.cfg, pend.qp.H.shape[0]
+    x = 0.01 * pend.x0
+    cases = [(x, np.zeros(d), ell) for ell in (1, W, 2 * W - 1, 2 * W, 2 * W + 1, 5000)]
+    # from a corner of the box the entry check fails and a scheduled one
+    # passes; far from the origin z leaves the box and no check is made
+    cases += [(x, np.ones(d), 5000), (100.0 * pend.x0, np.zeros(d), 5000)]
+    shares = []
+    for x, nu, ell in cases:
+        before = list(kernel_steps)
+        T.pgm_iterate(qp, cfg, x, nu, ell)
+        executed, clip_free = kernel_steps[0] - before[0], kernel_steps[1] - before[1]
+        assert executed == ell
+        shares.append(clip_free)
+    assert shares == [0, 0, 0, 2 * W, 2 * W + 1, 5000, shares[6], 0]
+    assert 0 < shares[6] < 5000
+
+
+def test_timed_iterate_is_bit_identical_to_the_projected_loop(pend, random_instance, monkeypatch,
+                                                              kernel_steps):
+    # the oracle is pgm_iterate with the certificate forced false: the
+    # projected kernel over all ell steps, as timed calls ran it before
+    def projected(*args):
+        with monkeypatch.context() as m:
+            m.setattr(tdmpc.pgm, "_ball_certificate", lambda qp, cfg, GX: None)
+            return T.pgm_iterate(*args)
+
+    rng = np.random.default_rng(53)
+    setups = [pend, PendulumSetup(10)]
+    problems = [(s.model, s.qp, s.cfg) for s in setups]
+    problems += [random_instance(rng)[:3] for _ in range(20)]
+    entry = later = 0
+    for model, qp, cfg in problems:
+        X = rng.standard_normal((model.n, 4)) * 10.0 ** rng.uniform(-3.0, 0.5, 4)
+        NU = qp.nu_box.sample(rng, 4)
+        NU[:, 0] = 0.0
+        for ell in (2 * W + 1, int(rng.integers(2 * W, 1500))):
+            before = kernel_steps[1]
+            out = T.pgm_iterate(qp, cfg, X, NU, ell)
+            free = kernel_steps[1] - before
+            entry, later = entry + (free == ell), later + (0 < free < ell)
+            assert out.tobytes() == projected(qp, cfg, X, NU, ell).tobytes()
+            for j in range(X.shape[1]):
+                before = kernel_steps[1]
+                single = T.pgm_iterate(qp, cfg, X[:, j], NU[:, j], ell)
+                free = kernel_steps[1] - before
+                entry, later = entry + (free == ell), later + (0 < free < ell)
+                assert single.tobytes() == projected(qp, cfg, X[:, j], NU[:, j], ell).tobytes()
+        assert np.array_equal(T.pgm_iterate(qp, cfg, X, NU, 2 * W + 1),
+                              _clip_loop(qp, cfg, X, NU, 2 * W + 1))
+    assert entry > 0 and later > 0
+
+
+def test_preset_checks_fewer_than_once_a_window(monkeypatch, kernel_steps):
+    # the N = 10 preset's sweep budgets past the gate: each call forms the
+    # certificate once and checks on its schedule, timed or untimed
+    setup = PendulumSetup(10)
+    certificate, counts = tdmpc.pgm._ball_certificate, collections.Counter()
+
+    def counted(qp, cfg, GX):
+        check = certificate(qp, cfg, GX)
+        counts["calls"] += 1
+        counts["never"] += check is None
+
+        def counted_check(V):
+            wait = check(V)
+            counts["checks"] += 1
+            counts["failed"] += wait != 0
+            return wait
+
+        return check and counted_check
+
+    monkeypatch.setattr(tdmpc.pgm, "_ball_certificate", counted)
+    budgets = [ell for ell in tdmpc.cli.default_ell_list() if ell >= 2 * W]
+    for repeats, ells in ((0, budgets), (1, budgets[::3])):
+        counts.clear()
+        before = kernel_steps[0]
+        for ell in ells:
+            T.run_tdmpc(setup.model, setup.qp, setup.cfg, setup.x0, ell, setup.T, repeats=repeats)
+        windows = (kernel_steps[0] - before) // W
+        checking = counts["calls"] - counts["never"]
+        assert counts["calls"] == len(ells) * setup.T * max(repeats, 1) and counts["never"] > 0
+        assert 0 < counts["failed"] < counts["checks"] < 2 * checking
+        assert 10 * counts["checks"] < windows
 
 
 def test_iteration_count_must_be_an_integer(pend):
