@@ -481,10 +481,9 @@ def cmd_calibrate_n(conf, out_dir):
     lines = []
     chosen = None
     for N in range(1, n_max + 1):
-        qp = build_condensed(model, Q, R, P, N, box)
-        cfg = pgm_config(qp)
-        pow6 = certified_rate(cfg.eta, 6)
-        lines.append(f"N = {N}  eta = {cfg.eta!r}  eta_pow_6 = {pow6!r}")
+        eta = build_condensed(model, Q, R, P, N, box).step.eta
+        pow6 = certified_rate(eta, 6)
+        lines.append(f"N = {N}  eta = {eta!r}  eta_pow_6 = {pow6!r}")
         if lo <= pow6 <= hi:
             chosen = N
             lines.append(f"chosen_N = {N}")

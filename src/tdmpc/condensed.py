@@ -15,14 +15,20 @@ import numpy as np
 from .numerics import NumericsError, _as_matrix, _spd_eig
 
 
+class _Step:
+    """One projected gradient step on H (see pgm): alpha, its rate eta, S, g and delta."""
+
+    def __init__(self, H, alpha, eta):
+        M, ku = np.eye(len(H)) - (2.0 * alpha) * H, len(H) * 2.0**-52  # k u = 2 d 2**-53
+        self.H, self.alpha, self.eta, self.S = H, alpha, eta, np.hstack([M, np.eye(len(H))])
+        self.g, self.delta = ku / (1 - ku) * np.linalg.norm(self.S), abs(np.linalg.norm(M, 2) - eta)
+
+
 class CondensedQp:
     """Condensed quadratic program data for one (model, Q, R, P, N, box) tuple.
 
-    H_inv is the inverse of H, for the reference minimizer's first stage.
-    step_cache maps a step size alpha to the controller's stacked
-    iteration matrix [I - 2 alpha H, I], and (alpha, eta) to the ball
-    certificate's rounding constants.  All live on the instance so they
-    can only ever serve this problem.
+    H is checked positive definite.  H_inv and the contraction step (see
+    pgm) serve the reference minimizer, whatever step a controller runs.
     """
 
     def __init__(self, N, H, G, W, S, B_bar, u_box, nu_box, Q, R, P):
@@ -37,8 +43,9 @@ class CondensedQp:
         self.Q = Q
         self.R = R
         self.P = P
+        e = _spd_eig(H, "H")
+        self.step = _Step(H, 1.0 / (e.max + e.min), (e.max - e.min) / (e.max + e.min))
         self.H_inv = np.linalg.inv(H)
-        self.step_cache = {}
 
 
 def build_condensed(model, Q, R, P, N, u_box):

@@ -51,8 +51,8 @@ def sym_eig(S, name="matrix"):
     S = _as_matrix(S, name)
     if S.shape[0] != S.shape[1]:
         raise NumericsError(f"{name} must be square, got shape {S.shape}")
-    asym = np.linalg.norm(S - S.T)
-    scale = max(1.0, np.linalg.norm(S))
+    m = max(1.0, np.abs(S).max(initial=0.0))  # so neither norm overflows for finite S
+    asym, scale = np.linalg.norm((S - S.T) / m), max(1.0 / m, np.linalg.norm(S / m))
     if asym / scale > 1e-12:
         raise NumericsError(
             f"{name} is not symmetric: relative asymmetry {asym / scale:.3e}"

@@ -5,20 +5,20 @@ input box, with the classical optimal fixed step alpha = 2 / (l + L)
 expressed through the extreme curvatures of the full Hessian 2H as
 alpha = 1 / (lam_max(H) + lam_min(H)).  The iteration contracts to the
 minimizer mu*(x) at rate eta = (lam_max - lam_min) / (lam_max + lam_min)
-per step, uniformly in x.  The controller runs the step in its stacked
-affine form nu <- P(S [nu; c]), with S = [I - 2 alpha H, I] cached per
-problem and step size and c = -2 alpha G x formed once per call: the
-same map, whose iterates differ from the gradient form's only by rounding.
-Calls of two windows of steps or more drop it, one C call a step, once a
-ball certificate proves it idle; timed calls still execute every step.
+per step, uniformly in x: qp.step, formed once per problem.  A
+controller runs its config's step as nu <- P(S [nu; c]), with
+S = [I - 2 alpha H, I] held by the step and c = -2 alpha G x formed once
+per call, which differs from the gradient form only by rounding.  Calls
+of two windows of steps or more drop P, one C call a step, once a ball
+certificate proves it idle; timed calls still execute every step.
 
-The reference minimizer mu*(x) itself comes from a chain of three
-solves, each accepting only the columns that pass one certificate on the
-fixed-point residual of that iteration: the unconstrained minimizer
--H^{-1} G x where it lies strictly inside the box, refined once where
-it misses the certificate; an exact primal active-set solve for the
-rest; and the iteration run to convergence as the last fallback and the
-test oracle.
+The reference minimizer mu*(x), which runs qp.step whatever step the
+controller runs, comes from a chain of three solves, each accepting only
+the columns that pass one certificate on the fixed-point residual of
+that iteration: the unconstrained minimizer -H^{-1} G x where it lies
+strictly inside the box, refined once where it misses the certificate;
+an exact primal active-set solve for the rest; and the iteration run to
+convergence as the last fallback and the test oracle.
 """
 
 import math
@@ -27,7 +27,7 @@ import operator
 import numpy as np
 
 from .condensed import _batched, _batched_pair
-from .numerics import NumericsError, _spd_eig
+from .numerics import NumericsError
 
 
 class BenchmarkSolveError(Exception):
@@ -40,26 +40,27 @@ class BenchmarkSolveError(Exception):
 
 
 class PgmConfig:
-    """Step size, contraction factor and benchmark stopping parameters."""
+    """The controller's step, with its alpha and eta, and the reference solver's settings."""
 
-    def __init__(self, alpha, eta, tol_benchmark, iter_cap):
-        self.alpha = alpha
-        self.eta = eta
-        self.tol_benchmark = tol_benchmark
-        self.iter_cap = iter_cap
+    def __init__(self, step, tol_benchmark, iter_cap):
+        if not tol_benchmark > 0.0:
+            raise NumericsError(f"benchmark tolerance must be positive, got {tol_benchmark}")
+        if not iter_cap >= 1:
+            raise NumericsError(f"iteration cap must be >= 1, got {iter_cap}")
+        self.step, self.tol_benchmark, self.iter_cap = step, float(tol_benchmark), int(iter_cap)
+        self.alpha, self.eta = step.alpha, step.eta
 
 
 def pgm_config(qp, tol_benchmark=1e-12, iter_cap=10**6):
-    """Derive the step size and contraction factor from the Hessian spectrum."""
-    e = _spd_eig(qp.H, "H")
-    lam_min, lam_max = e.min, e.max
-    alpha = 1.0 / (lam_max + lam_min)
-    eta = (lam_max - lam_min) / (lam_max + lam_min)
-    if tol_benchmark <= 0.0:
-        raise NumericsError(f"benchmark tolerance must be positive, got {tol_benchmark}")
-    if iter_cap < 1:
-        raise NumericsError(f"iteration cap must be >= 1, got {iter_cap}")
-    return PgmConfig(alpha, eta, float(tol_benchmark), int(iter_cap))
+    """A controller that runs qp's own contraction step (see CondensedQp)."""
+    return PgmConfig(qp.step, tol_benchmark, iter_cap)
+
+
+def _step_of(qp, cfg):
+    """cfg's step, which must have been formed on qp's H."""
+    if cfg.step.H is not qp.H:
+        raise NumericsError("the configuration's step was formed for another problem")
+    return cfg.step
 
 
 # numpy's 3-input clip ufunc, min(max(x, lo), hi) in one C call (np.clip
@@ -67,14 +68,14 @@ def pgm_config(qp, tol_benchmark=1e-12, iter_cap=10**6):
 _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 
-def _pgm_steps(qp, cfg, GX, V, ell):
+def _pgm_steps(qp, step, GX, V, ell):
     """ell projected gradient steps on checked (dim, batch) arrays.
 
     GX = G @ X is formed once by the caller.  Each call writes V and
     c = GX * (-2 alpha) into one fresh C-ordered array Y = [V; c], and
     each step computes min(max(S Y, lo), hi) into its top block V: that is
-    np.clip(S @ Y, lo, hi) for the finite bounds lo < hi, with
-    S = [I - 2 alpha H, I] cached on qp per step size.  It is the gradient
+    np.clip(S @ Y, lo, hi) for the finite bounds lo < hi, with the step's
+    S = [I - 2 alpha H, I].  It is the gradient
     step V - 2 alpha (H V + G X) in affine form, c added inside the
     product, in two C calls per step (S.dot is S @ Y without matmul's
     dispatch), equal to it up to rounding but not bit for bit.  No step
@@ -83,19 +84,16 @@ def _pgm_steps(qp, cfg, GX, V, ell):
     """
     d = len(V)
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    S = qp.step_cache.get(cfg.alpha)
-    if S is None:
-        S = qp.step_cache[cfg.alpha] = np.hstack([np.eye(d) - (2.0 * cfg.alpha) * qp.H, np.eye(d)])
     Y = np.empty((2 * d, V.shape[1]))
-    Y[:d], Y[d:] = V, GX * (-2.0 * cfg.alpha)
-    dot, clip, V, T = S.dot, _clip, Y[:d], np.empty_like(Y[:d])
+    Y[:d], Y[d:] = V, GX * (-2.0 * step.alpha)
+    dot, clip, V, T = step.S.dot, _clip, Y[:d], np.empty_like(Y[:d])
     for _ in range(ell):
         dot(Y, T)
         clip(T, lo, hi, V)
     return V
 
 
-def _ball_certificate(qp, cfg, GX):
+def _ball_certificate(qp, step, GX):
     """The ball certificate's per-call part: None if no check can pass, else check(V).
 
     Unclipped, a step fixes z = -H^{-1} G x and contracts by ||M|| <= eta,
@@ -113,16 +111,11 @@ def _ball_certificate(qp, cfg, GX):
     rest is formed once: as R >= 0, no check passes when z is not strictly
     inside the box or the allowance at r = 0 fills the room m left to it.
     """
-    d, key = len(GX), (cfg.alpha, cfg.eta)
-    if key not in qp.step_cache:  # S as _pgm_steps caches it; g (k u = 2 d 2**-53), delta
-        M = np.eye(d) - (2.0 * cfg.alpha) * qp.H
-        S, ku = qp.step_cache.setdefault(cfg.alpha, np.hstack([M, np.eye(d)])), d * 2.0**-52
-        qp.step_cache[key] = ku / (1 - ku) * np.linalg.norm(S), abs(np.linalg.norm(M, 2) - cfg.eta)
-    (g, delta), lo, hi = qp.step_cache[key], qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    room = 1.0 - cfg.eta - 2.0 * (g + delta)
+    g, delta, lo, hi = step.g, step.delta, qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
+    room = 1.0 - step.eta - 2.0 * (g + delta)
     with np.errstate(all="ignore"):
-        z, c = -(qp.H_inv @ GX), GX * (-2.0 * cfg.alpha)
-        rho = _norms(qp.step_cache[cfg.alpha].dot(np.vstack([z, c])) - z)
+        z, c = -(qp.H_inv @ GX), GX * (-2.0 * step.alpha)
+        rho = _norms(step.S.dot(np.vstack([z, c])) - z)
         s0, m = _norms(z) + _norms(c), np.minimum(z - lo, hi - z)
         need = (room * m - 2.0 * (rho + g * s0)) / (room + 2.0 * (g + delta))
         if not (room > 0.0 and (need > 0.0).all()):  # need > 0 needs m > 0: lo < z < hi
@@ -134,16 +127,16 @@ def _ball_certificate(qp, cfg, GX):
             R = r + 2.0 * (rho + g * (s0 + r) + delta * r) / room
             if ((lo < z - R) & (z + R < hi)).all():
                 return 0
-            j = (np.log(need / r) / np.log(cfg.eta)).max()
+            j = (np.log(need / r) / np.log(step.eta)).max()
         return max(_CYCLE_WINDOW, math.ceil(j)) if np.isfinite(j) else math.inf
 
     return check
 
 
-def _unclipped_steps(qp, cfg, GX, V, ell):
+def _unclipped_steps(qp, step, GX, V, ell):
     """_pgm_steps from a V that passed the ball certificate: same bits, one S.dot a step."""
-    Y, Z = (np.ascontiguousarray(np.vstack([V, GX * (-2.0 * cfg.alpha)])) for _ in range(2))
-    dot, a, b = qp.step_cache[cfg.alpha].dot, Y[:len(V)], Z[:len(V)]
+    Y, Z = (np.ascontiguousarray(np.vstack([V, GX * (-2.0 * step.alpha)])) for _ in range(2))
+    dot, a, b = step.S.dot, Y[:len(V)], Z[:len(V)]
     for _ in range(ell >> 1):
         dot(Y, b)
         dot(Z, a)
@@ -177,9 +170,9 @@ def _iterate(qp, cfg, x, nu, ell, skip_repeats):
     runs.  The compared iterates are fresh C-ordered kernel outputs, so
     equal bytes mean equal bits (np.array_equal would match 0.0 with -0.0).
     """
-    X, V, squeeze = _batched_pair(qp, x, nu)
+    step, (X, V, squeeze) = _step_of(qp, cfg), _batched_pair(qp, x, nu)
     GX, W = qp.G @ X, _CYCLE_WINDOW
-    check = _ball_certificate(qp, cfg, GX) if ell >= 2 * W else None
+    check = _ball_certificate(qp, step, GX) if ell >= 2 * W else None
     steps, left, due, ends = _pgm_steps, ell, 0, {}
     while left >= W if skip_repeats else check and left:
         if check and due <= 0:
@@ -188,11 +181,11 @@ def _iterate(qp, cfg, x, nu, ell, skip_repeats):
                 steps, check = _unclipped_steps, None
                 continue
         n = W if skip_repeats else min(due, left)
-        V, left, due = steps(qp, cfg, GX, V, n), left - n, due - n
+        V, left, due = steps(qp, step, GX, V, n), left - n, due - n
         if skip_repeats and (earlier := ends.setdefault(V.tobytes(), left)) != left:
             left %= earlier - left
             break
-    out = steps(qp, cfg, GX, V, left)
+    out = steps(qp, step, GX, V, left)
     return out[:, 0] if squeeze else out
 
 
@@ -289,7 +282,7 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     f = np.flatnonzero(~blocked)
     Vf, Gf = V[:, f], GX[:, f]
     Vf[free] = _clip(Vf[free] - inv @ (HF @ Vf + Gf[free]), lf, hf)
-    z = Vf - _pgm_steps(qp, cfg, Gf, Vf, 1)
+    z = Vf - _pgm_steps(qp, qp.step, Gf, Vf, 1)
     residual = np.full(V.shape[1], np.inf)
     residual[f] = _norms(z) / (1.0 + _norms(Vf))
     V[:, f] = Vf
@@ -367,7 +360,7 @@ def solve_benchmark(qp, cfg, x):
     inv = qp.H_inv
 
     def certified(GX, V):
-        residual = _norms(V - _pgm_steps(qp, cfg, GX, V, 1)) / (1.0 + _norms(V))
+        residual = _norms(V - _pgm_steps(qp, qp.step, GX, V, 1)) / (1.0 + _norms(V))
         return residual <= cfg.tol_benchmark
 
     V = _clip(-(inv @ GX), lo, hi)
@@ -412,7 +405,7 @@ def solve_benchmark_pgm(qp, cfg, x, nu0=None):
     tol = cfg.tol_benchmark
     residual = np.inf
     for it in range(1, cfg.iter_cap + 1):
-        V_next = _pgm_steps(qp, cfg, GX, V, 1)
+        V_next = _pgm_steps(qp, qp.step, GX, V, 1)
         diff = np.linalg.norm(V_next - V, axis=0)
         size = 1.0 + np.linalg.norm(V_next, axis=0)
         V = V_next

@@ -15,7 +15,7 @@ import numpy as np
 from .closed_loop import _benchmark_steps
 from .condensed import _batched
 from .numerics import NumericsError
-from .pgm import _pgm_steps, certified_rate, solve_benchmark
+from .pgm import _pgm_steps, _step_of, certified_rate, solve_benchmark
 from .report import field_pairs, kv_lines
 
 
@@ -233,20 +233,21 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
 
     Draws random states, feasible warm starts and iteration counts in
     1..ell_max, and verifies ||T^ell(x, nu) - mu*(x)|| <=
-    eta^ell ||nu - mu*(x)|| on every sample.  Returns the worst observed
-    ratio; a ratio beyond round-off raises with the offending sample
-    attached.  The denominator carries a 1e-300 floor so an exact warm
-    start (a 0/0 ratio) audits as 0.  The reference minimizer is only
-    accurate to ||mu - T(mu)|| / (1 - eta), the error bound of an
-    eta-contraction T from the fixed-point residual its certificate
-    measures; the computed residual and the audited iterates both carry
-    the rounding of T, about eps * (1 + ||mu||), which is added.  That
-    resolution is subtracted per column from the numerator before
-    forming the ratio: once eta^ell norm0 falls to the
-    solver's own error floor -- including the eta = 0 case, where the
-    claim is exact one-step convergence -- the audit reads 0 instead of
-    reporting unmeasurable noise as a violation.
+    eta^ell ||nu - mu*(x)|| on every sample, T being cfg's step.
+    Returns the worst observed ratio; a ratio beyond round-off raises
+    with the offending sample attached.  The denominator carries a
+    1e-300 floor so an exact warm start (a 0/0 ratio) audits as 0.  The
+    reference minimizer is only accurate to ||mu - T*(mu)|| / (1 - eta*),
+    the error bound of the eta*-contraction T* = qp.step from the
+    fixed-point residual its certificate measures; the computed residual
+    and the audited iterates both carry the rounding of a step, about
+    eps * (1 + ||mu||), which is added.  That resolution is subtracted
+    per column from the numerator before forming the ratio: once
+    eta^ell norm0 falls to the solver's own error floor -- including the
+    eta = 0 case, where the claim is exact one-step convergence -- the
+    audit reads 0 instead of reporting unmeasurable noise as a violation.
     """
+    step = _step_of(qp, cfg)
     if not 1 <= ell_max:
         raise NumericsError(f"ell_max must be >= 1, got {ell_max}")
     X = sampler(rng, samples)
@@ -256,16 +257,16 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
     GX = qp.G @ X
     norm0 = np.linalg.norm(NU0 - MU, axis=0)
     size = 1.0 + np.linalg.norm(MU, axis=0)
-    residual = np.linalg.norm(MU - _pgm_steps(qp, cfg, GX, MU, 1), axis=0)
-    resolution = (residual + np.finfo(float).eps * size) / (1.0 - cfg.eta)
+    residual = np.linalg.norm(MU - _pgm_steps(qp, qp.step, GX, MU, 1), axis=0)
+    resolution = (residual + np.finfo(float).eps * size) / (1.0 - qp.step.eta)
     ratios = np.zeros(samples)
     V = NU0
     for k in range(1, ell_max + 1):
-        V = _pgm_steps(qp, cfg, GX, V, 1)
+        V = _pgm_steps(qp, step, GX, V, 1)
         mask = ells == k
         if np.any(mask):
             num = np.linalg.norm(V[:, mask] - MU[:, mask], axis=0)
-            den = certified_rate(cfg.eta, k) * norm0[mask] + 1e-300
+            den = certified_rate(step.eta, k) * norm0[mask] + 1e-300
             ratios[mask] = np.maximum(num - resolution[mask], 0.0) / den
     worst_idx = int(np.argmax(ratios))
     worst = float(ratios[worst_idx])

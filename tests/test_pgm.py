@@ -12,6 +12,7 @@ import tdmpc as T
 import tdmpc.certificates
 import tdmpc.cli
 import tdmpc.closed_loop
+import tdmpc.condensed
 import tdmpc.pgm
 import tdmpc.probe
 from conftest import PendulumSetup
@@ -50,11 +51,27 @@ def test_config_step_size_and_contraction_factor(pend):
 
 
 def test_config_rejects_indefinite_hessian(scalar_qp):
-    qp = copy.copy(scalar_qp[0])
-    qp.H = np.diag([2.0, -0.5])
+    # the problem forms its step when it is built, so H is checked there
+    qp = scalar_qp[0]
     with pytest.raises(T.NumericsError,
                        match="H is not positive definite: min eigenvalue -5.000e-01"):
-        T.pgm_config(qp)
+        T.CondensedQp(qp.N, np.diag([2.0, -0.5]), qp.G, qp.W, qp.S, qp.B_bar, qp.u_box,
+                      qp.nu_box, qp.Q, qp.R, qp.P)
+
+
+def test_config_rejects_bad_stopping_parameters(pend):
+    # one copy of the checks, in the constructor: NaN is rejected too, where
+    # it used to run the fallback to its cap
+    for tol in (0.0, -1.0, np.nan):
+        with pytest.raises(T.NumericsError, match="benchmark tolerance must be positive"):
+            T.PgmConfig(pend.cfg.step, tol, 10**5)
+        with pytest.raises(T.NumericsError, match="benchmark tolerance must be positive"):
+            T.pgm_config(pend.qp, tol_benchmark=tol)
+    for cap in (0, -3, np.nan):
+        with pytest.raises(T.NumericsError, match="iteration cap must be >= 1"):
+            T.PgmConfig(pend.cfg.step, 1e-12, cap)
+        with pytest.raises(T.NumericsError, match="iteration cap must be >= 1"):
+            T.pgm_config(pend.qp, iter_cap=cap)
 
 
 def test_config_conditioned_identity_hessian():
@@ -185,7 +202,7 @@ def test_benchmark_batched_matches_single(pend):
 
 
 def test_benchmark_iteration_cap_raises(pend):
-    cfg = T.PgmConfig(pend.cfg.alpha, pend.cfg.eta, 1e-300, 50)
+    cfg = T.PgmConfig(pend.cfg.step, 1e-300, 50)
     with pytest.raises(T.BenchmarkSolveError) as exc:
         T.solve_benchmark(pend.qp, cfg, pend.x0)
     assert exc.value.iterations == 50
@@ -286,7 +303,7 @@ def test_active_set_cap_with_capped_fallback_raises(pend):
     x = np.array([0.0, 8.0])
     mu = T.solve_benchmark(pend.qp, pend.cfg, x)
     assert np.all(np.abs(mu) == 1.0)
-    cfg = T.PgmConfig(pend.cfg.alpha, pend.cfg.eta, pend.cfg.tol_benchmark, 2)
+    cfg = T.PgmConfig(pend.cfg.step, pend.cfg.tol_benchmark, 2)
     with pytest.raises(T.BenchmarkSolveError) as exc:
         T.solve_benchmark(pend.qp, cfg, x)
     assert exc.value.iterations == 2
@@ -325,7 +342,7 @@ def _gather_pass(qp, cfg, free, GX, V, bound):
     Vf, Gf = V[:, f], GX[:, f]
     Vf[free] -= inv @ (HF @ Vf + Gf[free])
     np.clip(Vf, lo, hi, out=Vf)
-    z = Vf - tdmpc.pgm._pgm_steps(qp, cfg, Gf, Vf, 1)
+    z = Vf - tdmpc.pgm._pgm_steps(qp, qp.step, Gf, Vf, 1)
     V[:, f] = Vf
     residual = np.full(V.shape[1], np.inf)
     residual[f] = np.linalg.norm(z, axis=0) / (1.0 + np.linalg.norm(Vf, axis=0))
@@ -403,7 +420,7 @@ def test_grouped_active_set_is_bit_identical_to_dict_grouping(pend, random_insta
     assert min(kinds[k] for k in ("all free", "blocked", "released")) > 0
 
     # an active-set cap reached before convergence: the same iterates, the same flags
-    capped = T.PgmConfig(pend.cfg.alpha, pend.cfg.eta, pend.cfg.tol_benchmark, 2)
+    capped = T.PgmConfig(pend.cfg.step, pend.cfg.tol_benchmark, 2)
     X = np.outer(pend.x0, np.linspace(-6.0, 6.0, 13))
     _, ok = _both_active_sets(pend.qp, capped, X, np.zeros((pend.qp.H.shape[0], 13)),
                               seen, kinds)
@@ -689,31 +706,72 @@ def test_iterate_agrees_with_affine_loop_to_rounding(pend, random_instance):
     assert differ > 0  # the two kernels do round differently
 
 
+def _step(qp, alpha):
+    """Another projected gradient step on qp's H: alpha and its rate ||I - 2 alpha H||_2."""
+    M = np.eye(qp.H.shape[0]) - 2.0 * alpha * qp.H
+    return tdmpc.condensed._Step(qp.H, alpha, T.spectral_norm(M))
+
+
 def test_step_matrix_is_cached_per_problem_and_step_size(pend):
     qp = T.build_condensed(pend.model, pend.Q, pend.R, pend.P, pend.N, pend.box)
     cfg = T.pgm_config(qp)
     x, nu = pend.x0, np.zeros(qp.H.shape[0])
     dim = qp.H.shape[0]
     stacked = lambda alpha: np.hstack([np.eye(dim) - 2.0 * alpha * qp.H, np.eye(dim)])
-    out = T.pgm_iterate(qp, cfg, x, nu, 5)
-    assert list(qp.step_cache) == [cfg.alpha]
-    S = qp.step_cache[cfg.alpha]
+    # the problem forms its step once, and its configs run that one object
+    assert cfg.step is qp.step and T.pgm_config(qp).step is qp.step
+    S = qp.step.S
     assert S.shape == (dim, 2 * dim) and S.flags.c_contiguous
     assert np.array_equal(S, stacked(cfg.alpha))
+    out = T.pgm_iterate(qp, cfg, x, nu, 5)
     T.pgm_iterate(qp, cfg, x, nu, 5)
-    assert qp.step_cache[cfg.alpha] is S  # built once, reused
-    # another step size on the same problem gets its own matrix and iterates
-    half = T.PgmConfig(cfg.alpha / 2.0, cfg.eta, cfg.tol_benchmark, cfg.iter_cap)
+    assert qp.step.S is S  # built once, reused
+    # another step size on the same problem is its own step, with its own matrix and iterates
+    half = T.PgmConfig(_step(qp, cfg.alpha / 2.0), cfg.tol_benchmark, cfg.iter_cap)
+    assert half.step.S.flags.c_contiguous and np.array_equal(half.step.S, stacked(half.alpha))
     slow = T.pgm_iterate(qp, half, x, nu, 5)
-    assert set(qp.step_cache) == {cfg.alpha, half.alpha}
-    assert np.array_equal(qp.step_cache[half.alpha], stacked(half.alpha))
+    assert qp.step.S is S
     assert np.array_equal(slow, _clip_loop(qp, half, x, nu, 5))
     assert not np.allclose(slow, out)
-    # the same step size on another problem never sees this problem's matrix
+    # another problem has its own step, and a config of this one never runs on it
     other = T.build_condensed(pend.model, pend.Q, 4.0 * pend.R, pend.P, pend.N, pend.box)
-    assert other.step_cache is not qp.step_cache
-    assert np.array_equal(T.pgm_iterate(other, cfg, x, nu, 5), _clip_loop(other, cfg, x, nu, 5))
-    assert not np.array_equal(other.step_cache[cfg.alpha], S)
+    assert other.step is not qp.step and not np.array_equal(other.step.S, S)
+    for run in (lambda: T.pgm_iterate(other, cfg, x, nu, 5),
+                lambda: T.audit_contraction(other, cfg, lambda rng, k: rng.standard_normal((2, k)),
+                                            np.random.default_rng(72))):
+        with pytest.raises(T.NumericsError, match="^the configuration's step was formed for "
+                                                  "another problem$"):
+            run()
+
+
+@pytest.mark.parametrize("N", [5, 10])
+def test_reference_solver_runs_the_problems_own_step(pend, N):
+    # mu*(x) depends on the problem alone: configs whose controller runs
+    # another step leave every reference solve's bits, and its cap, as they are
+    setup = pend if N == pend.N else PendulumSetup(N)
+    qp, cfg = setup.qp, setup.cfg
+    rng = np.random.default_rng(71)
+    X = np.hstack([np.outer(setup.x0, np.linspace(-6.0, 6.0, 13)),
+                   rng.standard_normal((2, 12)) * np.logspace(-2.0, 1.0, 12)])
+    mu = T.solve_benchmark(qp, cfg, X)
+    oracle = T.solve_benchmark_pgm(qp, cfg, X, mu)  # from mu: each step's last bits show
+    for alpha in (cfg.alpha / 2.0, 0.9 / T.sym_eig(qp.H).max):
+        other = T.PgmConfig(_step(qp, alpha), cfg.tol_benchmark, cfg.iter_cap)
+        assert other.step is not qp.step and other.alpha == alpha
+        assert T.solve_benchmark(qp, other, X).tobytes() == mu.tobytes()
+        assert T.solve_benchmark_pgm(qp, other, X, mu).tobytes() == oracle.tobytes()
+        with pytest.raises(T.BenchmarkSolveError) as exc:
+            T.solve_benchmark(qp, T.PgmConfig(other.step, 1e-300, 50), setup.x0)
+        assert exc.value.iterations == 50
+
+
+def test_timed_preset_run_steps_clip_free(pend, kernel_steps):
+    # control-n5's run: the preset at N = 5, timed, 5,000 iterations a step
+    # over T = 30; every call passes the ball certificate at entry, so all
+    # its steps run clip-free, and one more projected step certifies the
+    # post-loop reference solve
+    T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 5000, pend.T, repeats=1)
+    assert kernel_steps == [150001, 150000]
 
 
 def test_iterate_leaves_nu_unchanged(pend):
@@ -740,7 +798,7 @@ def test_kernel_copies_the_callers_array(pend):
         assert V.dtype == np.float64
         before = V.copy()
         for ell in (0, 1, 7):
-            a, b = (tdmpc.pgm._pgm_steps(pend.qp, pend.cfg, GX[:, :V.shape[1]], V, ell)
+            a, b = (tdmpc.pgm._pgm_steps(pend.qp, pend.cfg.step, GX[:, :V.shape[1]], V, ell)
                     for _ in range(2))
             assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
             assert not (np.shares_memory(a, V) or np.shares_memory(a, b))
@@ -997,7 +1055,7 @@ def _ball_starts(qp, rng, k):
 
 def _certified(qp, cfg, GX, V):
     """Whether V passes the ball certificate of GX: its per-call part, then one check."""
-    check = tdmpc.pgm._ball_certificate(qp, cfg, GX)
+    check = tdmpc.pgm._ball_certificate(qp, cfg.step, GX)
     return check is not None and check(V) == 0
 
 
@@ -1023,7 +1081,7 @@ def test_ball_certificate_means_no_clip_acts(pend, random_instance, monkeypatch)
         for Gc, Vc in ((GX, V), (GX[:, -1:], V[:, -1:])):
             for ell in (0, 1, 61, 5000):
                 seen.clear()
-                a, b = kernel(qp, cfg, Gc, Vc, ell), free(qp, cfg, Gc, Vc, ell)
+                a, b = kernel(qp, cfg.step, Gc, Vc, ell), free(qp, cfg.step, Gc, Vc, ell)
                 assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
                 pre = np.array(seen)
                 assert len(pre) == ell and ((lo < pre) & (pre < hi)).all()
@@ -1089,12 +1147,12 @@ def test_ball_certificate_per_call_part_says_never(pend):
     # no check can pass when z is not strictly inside the box or the room
     # left between z and the box, or in 1 - eta, is used up by rounding
     GX, z, _ = _ball_case(pend)
-    cert = tdmpc.pgm._ball_certificate
-    assert cert(pend.qp, pend.cfg, GX) is not None
+    cert, step = tdmpc.pgm._ball_certificate, pend.cfg.step
+    assert cert(pend.qp, step, GX) is not None
     far = pend.qp.G @ (100.0 * pend.x0)[:, None]
     assert (np.abs(pend.qp.H_inv @ far) > 1.0).any()
-    assert cert(pend.qp, pend.cfg, far) is None
-    assert cert(pend.qp, pend.cfg, np.hstack([GX, far])) is None
+    assert cert(pend.qp, step, far) is None
+    assert cert(pend.qp, step, np.hstack([GX, far])) is None
     lo = pend.qp.nu_box.lower
     qp = copy.copy(pend.qp)
     at, ulp = z[0, 0], np.nextafter(z[0, 0], np.inf)
@@ -1102,13 +1160,9 @@ def test_ball_certificate_per_call_part_says_never(pend):
         up = pend.qp.nu_box.upper.copy()
         up[0] = up0
         qp.nu_box = SimpleNamespace(lower=lo, upper=up)
-        assert (cert(qp, pend.cfg, GX) is None) == never, up0
+        assert (cert(qp, step, GX) is None) == never, up0
     # eta one ulp below 1: the rounding allowance exceeds 1 - eta
-    qp = copy.copy(pend.qp)
-    qp.step_cache = {}
-    cfg = copy.copy(pend.cfg)
-    cfg.eta = 1.0 - 2.0**-52
-    assert cert(qp, cfg, GX) is None
+    assert cert(pend.qp, tdmpc.condensed._Step(pend.qp.H, step.alpha, 1.0 - 2.0**-52), GX) is None
 
 
 def test_timed_iterate_executes_every_step(pend, kernel_steps):

@@ -8,6 +8,7 @@ import pytest
 
 import tdmpc as T
 from conftest import PendulumSetup
+from tdmpc.condensed import _Step
 from tdmpc.probe import _geometric_envelope, _holdout_margins, _pair_gaps, _pulse_gain
 
 
@@ -400,7 +401,7 @@ def test_audit_contraction_zero_ratio_for_identity_hessian():
 
 
 def test_audit_contraction_detects_overclaimed_rate(pend, pend_sampler):
-    bad = T.PgmConfig(pend.cfg.alpha, 0.5 * pend.cfg.eta,
+    bad = T.PgmConfig(_Step(pend.qp.H, pend.cfg.alpha, 0.5 * pend.cfg.eta),
                       pend.cfg.tol_benchmark, pend.cfg.iter_cap)
     with pytest.raises(T.ContractionError) as exc:
         T.audit_contraction(pend.qp, bad, pend_sampler, np.random.default_rng(66),
