@@ -10,7 +10,7 @@ relies on a structural property of the problem.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,13 +221,12 @@ def epsilon_rate(beta, kappa, sigma, omega, eta, ell, tau):
     return max(beta + tau * kappa * r, (sigma + tau * omega * r) / tau)
 
 
-def stage_cost_lipschitz(qp, r_N, ediss=None):
-    """Lipschitz constants of the closed-loop cost on the certified region.
+def stage_cost_lipschitz(qp, r_N):
+    """Lipschitz constants (M_x, M_u) of the closed-loop cost on the certified region.
 
     M_x bounds the state-cost increments over {||x|| <= x_m} with
-    x_m = r_N * ||P^{-1/2}||, M_u bounds the input-cost increments over
-    the input box, and M_bar combines them with the incremental
-    stability constants of the benchmark loop (None when no fit is given).
+    x_m = r_N * ||P^{-1/2}||, and M_u bounds the input-cost increments
+    over the input box.
     """
     Pm = mat_inv_sqrt(qp.P, "P")
     x_m = r_N * spectral_norm(Pm)
@@ -235,17 +234,12 @@ def stage_cost_lipschitz(qp, r_N, ediss=None):
     u_m = float(np.linalg.norm(corner))
     M_x = 2.0 * x_m * max(spectral_norm(qp.Q), spectral_norm(qp.P))
     M_u = 2.0 * u_m * spectral_norm(qp.R)
-    if ediss is None:
-        return M_x, M_u, None
-    L = lipschitz_L(qp)
-    L_u = spectral_norm(qp.B_bar)
-    M_bar = M_u + ediss.c_w * L_u * (M_u * L + M_x) / (1.0 - ediss.rho)
-    return M_x, M_u, M_bar
+    return M_x, M_u
 
 
 @dataclass
 class Certificates:
-    """Bundle of certified constants for one problem instance."""
+    """Certified constants for one problem instance; M_bar and ediss wait for with_fit."""
 
     N: int
     alpha: float
@@ -269,23 +263,30 @@ class Certificates:
     dare_residual: float
     ediss: object  # last field: the EdissFit behind M_bar, or None
 
+    def with_fit(self, qp, fit):
+        """A copy carrying the fit and M_bar = M_u + c_w ||B_bar|| (M_u L + M_x) / (1 - rho)."""
+        L_u = spectral_norm(qp.B_bar)
+        M_bar = self.M_u + fit.c_w * L_u * (self.M_u * self.L + self.M_x) / (1.0 - fit.rho)
+        return replace(self, M_bar=M_bar, ediss=fit)
+
     def to_lines(self):
         """Flat key = value report: every constant, then the fit under ediss_ keys."""
-        pairs = field_pairs(self)[:-1]
+        pairs = [(k, "pending probe" if k == "M_bar" and v is None else v)
+                 for k, v in field_pairs(self)[:-1]]
         if self.ediss is not None:
             pairs += [(f"ediss_{k}", getattr(self.ediss, k)) for k in ("c0", "c_w", "rho", "r_w")]
         return kv_lines(pairs)
 
 
-def compute_certificates(model, qp, cfg, K, rng=None, psi_samples=500, ediss=None):
+def compute_certificates(model, qp, cfg, K, rng=None, psi_samples=500):
     """Assemble every certified constant for one problem instance.
 
     K is the terminal-controller gain used to size the constraint-
     compatible region; with qp.P it is the DARE solution whose relative
     residual is reported as dare_residual.  When an rng is supplied the
     analytic decay factor is cross-checked against sampled one-step cost
-    ratios; a violation raises.  An incremental-stability fit `ediss` enables the combined
-    cost Lipschitz constant M_bar.
+    ratios; a violation raises.  M_bar waits for an incremental-stability
+    fit: Certificates.with_fit attaches one.
     """
     L = lipschitz_L(qp)
     beta = decay_beta(qp)
@@ -293,11 +294,11 @@ def compute_certificates(model, qp, cfg, K, rng=None, psi_samples=500, ediss=Non
     omega, sigma, kappa = interconnection_constants(qp, model)
     raw, ell = ell_star(beta, kappa, sigma, omega, cfg.eta)
     tau, eps = tau_star(beta, kappa, sigma, omega, cfg.eta, ell)
-    M_x, M_u, M_bar = stage_cost_lipschitz(qp, r_N, ediss)
+    M_x, M_u = stage_cost_lipschitz(qp, r_N)
     worst = None
     if rng is not None:
         worst = check_psi_decay(model, qp, cfg, beta, r_N, rng, psi_samples)
     return Certificates(qp.N, cfg.alpha, cfg.eta, L, beta, worst, c, d, r_N,
                         omega, sigma, kappa, raw, ell, tau, eps,
-                        M_x, M_u, M_bar, dare_residual(model.A, model.B, qp.Q, qp.R, qp.P, K),
-                        ediss)
+                        M_x, M_u, None, dare_residual(model.A, model.B, qp.Q, qp.R, qp.P, K),
+                        None)

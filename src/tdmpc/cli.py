@@ -16,7 +16,6 @@ import ast
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,14 +24,12 @@ from .certificates import (
     compute_certificates,
     region_radius,
     sample_gamma,
-    stage_cost_lipschitz,
 )
 from .closed_loop import (
     _check_start,
     cost_JT,
     run_benchmark,
     run_tdmpc,
-    truncate_run,
     write_run_csv,
 )
 from .condensed import build_condensed
@@ -336,27 +333,22 @@ def load_ediss_fit(path):
     return EdissFit(**raw), fingerprint
 
 
-def _saved_fit(out_dir, fingerprint, otherwise):
-    """The fit report in the output directory (None if absent or of another problem), and its path.
+def _ediss_fit(conf, out_dir, model, qp, cfg, r_N=None, rng=None):
+    """The fit report of this problem in the output directory, else, given an rng, a fresh one.
 
-    A report of another problem is reported on stderr, with what happens `otherwise`.
+    Without an rng it only reads, and finds None unless this problem's report is there.
+    A report of another problem is named on stderr.
     """
-    path = os.path.join(out_dir, "ediss_fit.txt")
-    if not os.path.exists(path):
-        return None, path
-    fit, saved = load_ediss_fit(path)
-    if saved != fingerprint:
-        print(f"{path} was fitted for another problem; {otherwise}", file=sys.stderr)
-        return None, path
-    return fit, path
-
-
-def _fit_or_load_ediss(conf, out_dir, model, qp, cfg, r_N, rng):
-    """Reuse the fit report of this problem from the output directory or write a fresh one."""
     fingerprint = fit_fingerprint(conf, model, qp)
-    fit, path = _saved_fit(out_dir, fingerprint, "refitting")
-    if fit is not None:
-        return fit
+    path = os.path.join(out_dir, "ediss_fit.txt")
+    if os.path.exists(path):
+        fit, saved = load_ediss_fit(path)
+        if saved == fingerprint:
+            return fit
+        otherwise = "M_bar = pending probe" if rng is None else "refitting"
+        print(f"{path} was fitted for another problem; {otherwise}", file=sys.stderr)
+    if rng is None:
+        return None
     evaluator = make_benchmark_evaluator(model, qp, cfg)
     sampler = _gamma_sampler(qp, cfg, r_N)
     # a checked r_w is > 0, so only an absent one takes the default
@@ -374,9 +366,10 @@ def cmd_constants(conf, out_dir):
     model, qp, cfg, K = build_setup(conf)
     # reuse incremental-stability constants when a probe of this problem
     # already ran into this output directory; M_bar stays pending otherwise
-    fit = _saved_fit(out_dir, fit_fingerprint(conf, model, qp), "M_bar = pending probe")[0]
-    certs = compute_certificates(model, qp, cfg, K, rng=rng, psi_samples=conf["psi_samples"],
-                                 ediss=fit)
+    fit = _ediss_fit(conf, out_dir, model, qp, cfg)
+    certs = compute_certificates(model, qp, cfg, K, rng=rng, psi_samples=conf["psi_samples"])
+    if fit is not None:
+        certs = certs.with_fit(qp, fit)
     _report(os.path.join(out_dir, "constants.txt"), certs.to_lines())
     return 0
 
@@ -385,7 +378,7 @@ def cmd_probe(conf, out_dir):
     rng = np.random.default_rng(conf["seed"])
     model, qp, cfg, K = build_setup(conf)
     r_N = region_radius(qp, K)[2]
-    fit = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, r_N, rng)
+    fit = _ediss_fit(conf, out_dir, model, qp, cfg, r_N, rng)
     sampler = _gamma_sampler(qp, cfg, r_N)
     worst = audit_contraction(
         qp, cfg, sampler, rng,
@@ -433,43 +426,38 @@ def cmd_sweep(conf, out_dir, svg=False):
     ells = conf["ell_list"] or default_ell_list()
     # the decay check draws from rng before the fit does
     certs = compute_certificates(model, qp, cfg, K, rng=rng, psi_samples=conf["psi_samples"])
-    fit = _fit_or_load_ediss(conf, out_dir, model, qp, cfg, certs.r_N, rng)
-    certs = replace(certs, M_bar=stage_cost_lipschitz(qp, certs.r_N, fit)[2], ediss=fit)
+    certs = certs.with_fit(qp, _ediss_fit(conf, out_dir, model, qp, cfg, certs.r_N, rng))
 
     # sweep.csv reads the benchmark's states, never its solve times
     bench = run_benchmark(model, qp, cfg, x0, T, repeats=0)
     nu0 = solve_benchmark(qp, cfg, x0) if conf["nu_init"] == "optimal" else None
     rows = ["ell,eta_pow_ell,R_T_empirical,complexity_cor1,bound_thm8,"
             "S_T,S_T2,compute_time_s,stable_flag"]
-    plot_pts = []
+    reports = []  # (ell, compute time, gap report) of each row
     for ell in ells:
         run = run_tdmpc(model, qp, cfg, x0, ell, T, nu_init=nu0, repeats=repeats)
-        # a diverged benchmark ends early: compare over the common prefix
-        common = min(run.T, bench.T)
-        if common < run.T:
+        gap = build_gap_report(run, qp, certs, bench)
+        if gap.steps < run.T:
             print(f"ell = {ell}: benchmark diverged after {bench.T} steps; "
-                  f"gap over the first {common} of {run.T} steps", file=sys.stderr)
-        gap = build_gap_report(truncate_run(run, common), qp, certs, truncate_run(bench, common))
+                  f"gap over the first {gap.steps} of {run.T} steps", file=sys.stderr)
         compute_time = float(np.sum(run.solve_times))
         cells = (gap.rate_max, gap.R_T, gap.complexity, gap.bound, gap.S_T, gap.S_T2,
                  compute_time)
         rows.append(",".join([str(ell), *(repr(float(v)) for v in cells),
                               str(int(run.stable))]))
-        plot_pts.append((ell, compute_time, gap.R_T, gap.complexity, gap.bound))
+        reports.append((ell, compute_time, gap))
         if not run.stable:
             print(f"ell = {ell}: closed loop diverged after {run.T} steps", file=sys.stderr)
     _write_lines(os.path.join(out_dir, "sweep.csv"), rows)
     if svg:
         # gap and complexity against compute time when timing ran, else
         # against the iteration budget (repeats = 0 writes zero times)
-        timed = any(p[1] > 0.0 for p in plot_pts)
-        xs = [p[1] if timed else p[0] for p in plot_pts]
+        timed = any(seconds > 0.0 for _, seconds, _ in reports)
+        xs = [seconds if timed else ell for ell, seconds, _ in reports]
+        series = [(label, xs, [getattr(gap, key) for *_, gap in reports])
+                  for label, key in (("realized gap", "R_T"), ("complexity", "complexity"),
+                                     ("certified bound", "bound"))]
         xlabel = "compute time [s]" if timed else "iterations per step"
-        series = [
-            ("realized gap", xs, [p[2] for p in plot_pts]),
-            ("complexity", xs, [p[3] for p in plot_pts]),
-            ("certified bound", xs, [p[4] for p in plot_pts]),
-        ]
         svg_line_plot(os.path.join(out_dir, "sweep.svg"), series, xlabel, "cost gap")
     return 0
 

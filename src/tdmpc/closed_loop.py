@@ -35,7 +35,6 @@ class ClosedLoopRun:
     d_norms: np.ndarray = None
     warm_gap_norms: np.ndarray = None
     ell_schedule: list = None
-    delta_u0_norm: float = None
 
     @property
     def T(self):
@@ -45,6 +44,12 @@ class ClosedLoopRun:
     def stable(self):
         """Whether the last state passes the divergence guard, which ends a truncated run."""
         return not _diverged(self.states[-1], self.states[0])
+
+    @property
+    def delta_u0_norm(self):
+        """The first-step warm-start gap ||nu_{-1} - mu*(x_0)||, None without warm-start gaps."""
+        gaps = self.warm_gap_norms
+        return None if gaps is None or not len(gaps) else float(gaps[0])
 
 
 def _timed_loop(fn, repeats):
@@ -172,9 +177,8 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     states = np.vstack((x0, states))
     warm = np.vstack((nu, inputs[:-1]))
     mu = solve_benchmark(qp, cfg, states[:-1].T).T
-    warm_gaps = np.linalg.norm(warm - mu, axis=1)
     return ClosedLoopRun(states, inputs, applied, times, np.linalg.norm(inputs - mu, axis=1),
-                         warm_gaps, schedule[:len(steps)], float(warm_gaps[0]))
+                         np.linalg.norm(warm - mu, axis=1), schedule[:len(steps)])
 
 
 def cost_JT(run, Q, R, P):

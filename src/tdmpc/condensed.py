@@ -19,6 +19,10 @@ class _Step:
     """One projected gradient step on H (see pgm): alpha, its rate eta, S, g and delta."""
 
     def __init__(self, H, alpha, eta):
+        if not eta < 1.0:  # as when lam_min(H) is far below rounding level for lam_max(H)
+            raise NumericsError(f"H is not positive definite to working precision: the rate "
+                                f"eta = {eta!r} of its step is not below 1, so H is too "
+                                "ill-conditioned to tell")
         M, ku = np.eye(len(H)) - (2.0 * alpha) * H, len(H) * 2.0**-52  # k u = 2 d 2**-53
         self.H, self.alpha, self.eta, self.S = H, alpha, eta, np.hstack([M, np.eye(len(H))])
         self.g, self.delta = ku / (1 - ku) * np.linalg.norm(self.S), abs(np.linalg.norm(M, 2) - eta)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_loop import cost_JT, path_vectors
+from .closed_loop import cost_JT, path_vectors, truncate_run
 from .numerics import NumericsError
 from .pgm import certified_rate
 
@@ -96,9 +96,10 @@ def complexity_term(rate, S_T):
 
 @dataclass
 class GapReport:
-    """Empirical gap and its certified bounds for one truncated run."""
+    """Realized gap and its certified bounds for the first `steps` steps of a truncated run."""
 
-    R_T: float | None
+    steps: int
+    R_T: float
     S_T: float
     S_T2: float
     rate_max: float
@@ -107,23 +108,21 @@ class GapReport:
     complexity: float
 
 
-def build_gap_report(run_sub, qp, certs, run_bench=None):
-    """Assemble the gap report for a truncated run.
+def build_gap_report(run, qp, certs, bench):
+    """The gap report of a truncated run against the benchmark, over steps = min(run.T, bench.T).
 
-    Needs the run's iteration schedule for the compounded rates; the
-    benchmark run is optional and enables the realized gap R_T.  The
-    certified bound requires M_bar (None without an incremental-stability
-    fit, in which case only the complexity term is reported).
+    A diverged benchmark ends early, hence the common prefix.  The run needs
+    its iteration schedule; the bound needs M_bar (None until Certificates.with_fit).
     """
-    if run_sub.ell_schedule is None:
+    if run.ell_schedule is None:
         raise NumericsError("gap report needs a truncated run with an iteration schedule")
-    deltas, S_T, S_T2 = path_vectors(run_sub)
-    tilde = eta_tilde_mpc(certs.eta, run_sub.ell_schedule)
-    rate_max = certified_rate(certs.eta, min(run_sub.ell_schedule))
-    chain = chain_bound(tilde, certs.L, deltas, run_sub.delta_u0_norm)
+    steps = min(run.T, bench.T)
+    run, bench = truncate_run(run, steps), truncate_run(bench, steps)
+    deltas, S_T, S_T2 = path_vectors(run)
+    tilde = eta_tilde_mpc(certs.eta, run.ell_schedule)
+    rate_max = certified_rate(certs.eta, min(run.ell_schedule))
+    chain = chain_bound(tilde, certs.L, deltas, run.delta_u0_norm)
     bound = None if certs.M_bar is None else certs.M_bar * chain
     complexity = complexity_term(rate_max, S_T)
-    R_T = None
-    if run_bench is not None:
-        R_T = empirical_gap(run_sub, run_bench, qp.Q, qp.R, qp.P)
-    return GapReport(R_T, S_T, S_T2, rate_max, chain, bound, complexity)
+    R_T = empirical_gap(run, bench, qp.Q, qp.R, qp.P)
+    return GapReport(steps, R_T, S_T, S_T2, rate_max, chain, bound, complexity)

@@ -8,14 +8,15 @@ import numpy as np
 def kv_lines(pairs):
     """One `key = value` line per pair, each parsing back to its value.
 
-    None reads `none` (M_bar, which waits for the incremental-stability
-    fit, reads `pending probe`), bools and integers read as integers and
-    anything else as the repr of a float.
+    None reads `none`, a string reads as it is, bools and integers read
+    as integers and anything else as the repr of a float.
     """
     lines = []
     for key, val in pairs:
         if val is None:
-            text = "pending probe" if key == "M_bar" else "none"
+            text = "none"
+        elif isinstance(val, str):
+            text = val
         elif isinstance(val, (bool, np.bool_, int, np.integer)):
             text = str(int(val))
         else:

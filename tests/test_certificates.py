@@ -1,6 +1,7 @@
 """Certified constants: hand-computed scalar cases, defining properties, and pins."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,16 +239,25 @@ def test_stage_cost_lipschitz_corner_and_combination(pend, pend_certs, pend_fit)
         u_box=box, nu_box=box.replicate(2),
         Q=np.array([[1.0]]), R=np.array([[1.0]]), P=np.array([[1.0]]),
     )
-    M_x, M_u, M_bar = T.stage_cost_lipschitz(qp, r_N=1.0)
+    M_x, M_u = T.stage_cost_lipschitz(qp, r_N=1.0)
     assert M_u == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     assert M_x == pytest.approx(2.0 * 1.0 * 1.0, rel=1e-12)
-    assert M_bar is None
     # a zero disturbance gain collapses the combined constant onto M_u
     fit0 = T.EdissFit(c0=1.0, c_w=0.0, rho=0.5, r_w=1.0, pairs=1, horizon=1, worst_slack=0.0)
-    assert T.stage_cost_lipschitz(qp, 1.0, fit0)[2] == pytest.approx(M_u, rel=1e-12)
+    toy = replace(pend_certs, L=T.lipschitz_L(qp), M_x=M_x, M_u=M_u)
+    assert toy.with_fit(qp, fit0).M_bar == pytest.approx(M_u, rel=1e-12)
     # with a real fit the combination dominates the input part
-    M_x, M_u, M_bar = T.stage_cost_lipschitz(pend.qp, pend_certs.r_N, pend_fit)
-    assert M_bar is not None and M_bar >= M_u
+    certs = pend_certs.with_fit(pend.qp, pend_fit)
+    assert certs.M_bar is not None and certs.M_bar >= certs.M_u
+    # with_fit is the combination M_u + c_w L_u (M_u L + M_x) / (1 - rho) bit for
+    # bit; it returns a copy carrying the fit and leaves the record as it was
+    L_u = T.spectral_norm(pend.qp.B_bar)
+    assert certs.M_bar == (pend_certs.M_u + pend_fit.c_w * L_u
+                           * (pend_certs.M_u * T.lipschitz_L(pend.qp) + pend_certs.M_x)
+                           / (1.0 - pend_fit.rho))
+    assert certs.ediss is pend_fit
+    assert pend_certs.M_bar is None and pend_certs.ediss is None
+    assert replace(certs, M_bar=None, ediss=None) == pend_certs
 
 
 def test_certificates_frozen_pendulum_values(pend_certs):
@@ -280,8 +290,8 @@ def test_certificates_report_lines(pend, pend_certs, pend_fit):
     assert any(ln.startswith("eta = 0.98581") for ln in lines)
     with_fit = T.compute_certificates(
         pend.model, pend.qp, pend.cfg, pend.K, rng=np.random.default_rng(0),
-        psi_samples=50, ediss=pend_fit,
-    )
+        psi_samples=50,
+    ).with_fit(pend.qp, pend_fit)
     lines = with_fit.to_lines()
     assert any(ln.startswith("M_bar = ") and "pending" not in ln for ln in lines)
     assert any(ln.startswith("ediss_rho = ") for ln in lines)

@@ -257,9 +257,8 @@ def test_sweep_rows_are_gap_reports(tmp_path):
     assert cli.main(["--config", conf_path, "--out", str(out), "sweep"]) == 0
     conf = cli.resolve_config(argparse.Namespace(config=conf_path, seed=None, repeats=None))
     model, qp, cfg, K = cli.build_setup(conf)
-    certs = T.compute_certificates(
-        model, qp, cfg, K, ediss=cli.load_ediss_fit(str(out / "ediss_fit.txt"))[0]
-    )
+    certs = T.compute_certificates(model, qp, cfg, K).with_fit(
+        qp, cli.load_ediss_fit(str(out / "ediss_fit.txt"))[0])
     x0 = np.asarray(conf["x0"], dtype=float)
     bench = T.run_benchmark(model, qp, cfg, x0, conf["T"], repeats=0)
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
@@ -297,9 +296,8 @@ def test_sweep_compares_runs_over_the_benchmarks_prefix(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     conf = cli.resolve_config(argparse.Namespace(config=conf_path, seed=None, repeats=None))
     model, qp, cfg, K = cli.build_setup(conf)
-    certs = T.compute_certificates(
-        model, qp, cfg, K, ediss=cli.load_ediss_fit(str(out / "ediss_fit.txt"))[0]
-    )
+    certs = T.compute_certificates(model, qp, cfg, K).with_fit(
+        qp, cli.load_ediss_fit(str(out / "ediss_fit.txt"))[0])
     x0 = np.asarray(conf["x0"], dtype=float)
     bench = run_benchmark(model, qp, cfg, x0, 3, repeats=0)
     rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
@@ -546,8 +544,8 @@ def test_overflowing_condensing_exits_3_with_one_line(tmp_path, capsys, verbs):
 @pytest.mark.filterwarnings("error")
 def test_calibrate_n_stops_at_the_first_indefinite_hessian(tmp_path, capsys):
     # calibrate-N scans N = 1, 2, ... and never reaches an overflowing
-    # horizon: at N = 9 H is finite, but cond(H) is about 1e18, so its
-    # computed least eigenvalue is negative
+    # horizon: at N = 8 H is finite, but cond(H) is about 1e16, so the
+    # contraction rate of its step rounds to 1
     conf = tmp_path / "unstable.conf"
     conf.write_text(UNSTABLE)
     assert cli.main(["--config", str(conf), "--out", str(tmp_path / "cal"), "calibrate-N"]) == 3
@@ -557,12 +555,36 @@ def test_calibrate_n_stops_at_the_first_indefinite_hessian(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verbs", [["constants"], ["probe"], ["run", "6"], ["sweep"]])
+def test_step_rate_that_rounds_to_one_exits_3_with_one_line(tmp_path, capsys, verbs):
+    # at N = 8 H's least eigenvalue is positive but below rounding level, and
+    # its step's rate rounds to 1: a numerical failure, not a failed check
+    conf = tmp_path / "unstable.conf"
+    conf.write_text(UNSTABLE.replace("N = 400", "N = 8\niter_cap = 1000"))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(conf), "--out", str(out), *verbs]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: H is not positive definite to working "
+                            "precision: the rate eta = 1.0 of its step is not below 1, so H "
+                            "is too ill-conditioned to tell\n")
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
 def test_calibrate_n_names_conditioning_as_the_cause(tmp_path, capsys):
-    # H >= R = 1 in exact arithmetic; the computed least eigenvalue at N = 9
-    # is far below rounding level for the largest, about 1e18
+    # H >= R = 1 in exact arithmetic; at N = 8 the computed least eigenvalue
+    # is so far below rounding level for the largest, about 1e16, that the
+    # step's rate eta rounds to 1, and calibrate-N stops there; at N = 9 the
+    # least eigenvalue comes out negative, below rounding level for about 1e18
     conf = tmp_path / "unstable.conf"
     conf.write_text(UNSTABLE)
     assert cli.main(["--config", str(conf), "--out", str(tmp_path / "cal"), "calibrate-N"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: H is not positive definite to working precision: "
+                   "the rate eta = 1.0 of its step is not below 1, so H is too "
+                   "ill-conditioned to tell\n")
+    conf.write_text(UNSTABLE.replace("N = 400", "N = 9"))
+    assert cli.main(["--config", str(conf), "--out", str(tmp_path / "n9"), "constants"]) == 3
     err = capsys.readouterr().err
     assert err == ("numerical failure: H is not positive definite to working precision: "
                    "min eigenvalue -1.205e+01 is below rounding level for max eigenvalue "

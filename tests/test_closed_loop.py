@@ -285,8 +285,8 @@ def test_truncate_prefix_of_aborted_run():
     # includes it is not
     whole = T.ClosedLoopRun(
         np.array([[1.0], [2.0], [4.0], [1e9]]), np.zeros((3, 2)), np.zeros((3, 1)),
-        np.zeros(3), np.ones(3), np.ones(3), [1, 1, 1], 1.0)
-    assert not whole.stable
+        np.zeros(3), np.ones(3), np.ones(3), [1, 1, 1])
+    assert not whole.stable and whole.delta_u0_norm == 1.0
     for steps in (1, 2):
         short = T.truncate_run(whole, steps)
         assert short.T == steps and short.stable
@@ -315,7 +315,6 @@ def _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init=None):
     else:
         nu = qp.nu_box.project(np.asarray(nu_init, dtype=float).ravel().copy())
     mu = T.solve_benchmark(qp, cfg, x0)
-    delta_u0 = float(np.linalg.norm(nu - mu))
     x, steps, errors, mus, stable = x0, [], [], [], True
     for k in range(horizon):
         if steps:
@@ -333,8 +332,7 @@ def _per_step_run(model, qp, cfg, x0, schedule, horizon, nu_init=None):
     inputs, applied, states, times = zip(*steps)
     warm_gaps, d_norms = map(np.array, zip(*errors))
     run = T.ClosedLoopRun(np.array((x0,) + states), np.array(inputs), np.array(applied),
-                          np.array(times), d_norms, warm_gaps, schedule[:len(steps)],
-                          delta_u0)
+                          np.array(times), d_norms, warm_gaps, schedule[:len(steps)])
     return run, np.array(mus), stable
 
 

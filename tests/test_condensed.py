@@ -1,9 +1,12 @@
 """Condensed finite-horizon QP: cost/gradient against rollout oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 import tdmpc as T
+import tdmpc.condensed
 from conftest import grad, rollout_cost
 
 
@@ -146,3 +149,21 @@ def test_build_names_overflowing_prediction_matrices():
     # and too ill-conditioned for its positive definiteness to be told
     with pytest.raises(T.NumericsError, match="H is not positive definite to working precision"):
         T.build_condensed(model, np.eye(1), np.eye(1), P, 100, box)
+
+
+@pytest.mark.filterwarnings("error")
+def test_step_whose_rate_rounds_to_one_is_rejected():
+    # A = 10 at N = 8: H >= R = 1 in exact arithmetic, and its computed least
+    # eigenvalue (about 0.88) is positive, but below rounding level for the
+    # largest (about 1e16), so the contraction rate of H's step rounds to 1
+    model = T.LtiModel([[10.0]], [[1.0]])
+    P, _ = T.solve_dare(model.A, model.B, np.eye(1), np.eye(1))
+    box = T.BoxSet([-1.0], [1.0])
+    assert T.build_condensed(model, np.eye(1), np.eye(1), P, 7, box).step.eta < 1.0
+    with pytest.raises(T.NumericsError, match=r"^H is not positive definite to working "
+                       r"precision: the rate eta = 1\.0 of its step is not below 1, so H is too "
+                       r"ill-conditioned to tell$"):
+        T.build_condensed(model, np.eye(1), np.eye(1), P, 8, box)
+    for eta in (1.0, 1.5, math.nan):
+        with pytest.raises(T.NumericsError, match="not below 1"):
+            tdmpc.condensed._Step(np.eye(2), 0.5, eta)

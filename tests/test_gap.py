@@ -171,24 +171,41 @@ def test_chain_bound_covers_measured_errors(pend, pend_certs):
 
 def test_build_gap_report_fields(pend, pend_certs, pend_bench, pend_fit):
     run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 40, pend.T, repeats=0)
-    report = T.build_gap_report(run, pend.qp, pend_certs, run_bench=pend_bench)
-    assert run.T == pend.T
+    report = T.build_gap_report(run, pend.qp, pend_certs, pend_bench)
+    assert run.T == pend.T == report.steps
     assert report.bound is None  # no combined cost constant without a fit
-    assert report.R_T is not None
+    assert report.R_T == T.empirical_gap(run, pend_bench, pend.Q, pend.R, pend.P)
     # one certified rate: the chain's weight and sweep.csv's rate cell are
     # the Python power eta ** 40 bit for bit (numpy's vectorized power
     # can miss it in the last bit)
     assert T.eta_tilde_mpc(pend.cfg.eta, [40])[0] == report.rate_max == pend.cfg.eta ** 40
     certs = T.compute_certificates(
         pend.model, pend.qp, pend.cfg, pend.K, rng=np.random.default_rng(1),
-        psi_samples=50, ediss=pend_fit,
-    )
-    report = T.build_gap_report(run, pend.qp, certs, run_bench=pend_bench)
+        psi_samples=50,
+    ).with_fit(pend.qp, pend_fit)
+    report = T.build_gap_report(run, pend.qp, certs, pend_bench)
     assert report.bound == pytest.approx(certs.M_bar * report.chain, rel=1e-12)
     assert report.R_T <= report.bound
-    report_nobench = T.build_gap_report(run, pend.qp, certs)
-    assert report_nobench.R_T is None
 
+
+def test_build_gap_report_compares_over_the_common_prefix(pend, pend_certs, pend_bench,
+                                                          pend_fit):
+    # a benchmark that ended after 3 steps, as a diverged one does: the
+    # report of a 6-step run is the row sweep writes for that case, the
+    # report of the first 3 steps of both runs
+    certs = pend_certs.with_fit(pend.qp, pend_fit)
+    bench = T.truncate_run(pend_bench, 3)
+    for ell in (3, 40):
+        run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, ell, 6, repeats=0)
+        gap = T.build_gap_report(run, pend.qp, certs, bench)
+        assert run.T == 6 and gap.steps == 3
+        prefix = T.truncate_run(run, 3)
+        assert gap == T.build_gap_report(prefix, pend.qp, certs, bench)
+        assert gap.R_T == T.empirical_gap(prefix, bench, pend.Q, pend.R, pend.P)
+        assert (gap.S_T, gap.S_T2) == T.path_vectors(prefix)[1:]
+        assert gap.bound == certs.M_bar * gap.chain and gap.R_T <= gap.bound
+        # a benchmark longer than the run is cut to the run's steps
+        assert T.build_gap_report(prefix, pend.qp, certs, pend_bench) == gap
 
 def test_gap_from_csv_round_trip(tmp_path, pend, pend_bench):
     run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, pend.x0, 25, pend.T, repeats=0)

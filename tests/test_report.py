@@ -12,7 +12,8 @@ from tdmpc.report import field_pairs, kv_lines
 def test_kv_lines_table():
     table = [
         ("c", None, "c = none"),
-        ("M_bar", None, "M_bar = pending probe"),
+        ("M_bar", None, "M_bar = none"),
+        ("M_bar", "pending probe", "M_bar = pending probe"),
         ("passed", True, "passed = 1"),
         ("passed", np.bool_(False), "passed = 0"),
         ("N", 5, "N = 5"),
