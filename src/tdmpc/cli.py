@@ -68,16 +68,18 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno} has an empty key")
         try:
             conf[key] = ast.literal_eval(val)
-        except (ValueError, SyntaxError):
+        except (ValueError, SyntaxError, RecursionError, MemoryError):
+            # kept as text, which its key's check rejects; a value too deep
+            # for Python's parser exhausts its recursion or memory instead
             conf[key] = val
     return conf
 
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
     return parse_config_text(text)
 

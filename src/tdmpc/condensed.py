@@ -75,6 +75,12 @@ def build_condensed(model, Q, R, P, N, u_box):
     _spd_eig(R, "R")
     if u_box.dim != m:
         raise NumericsError(f"input box has dimension {u_box.dim}, expected {m}")
+    # the largest matrices formed below are square in N max(n, m); one that
+    # numpy cannot index is refused before anything is allocated
+    side = N * max(n, m)
+    if side * side * 8 > np.iinfo(np.intp).max:
+        raise NumericsError(f"condensing overflows at horizon {N}: its {side} x {side} "
+                            "matrices are too big for an array")
 
     A, B = model.A, model.B
     # the products overflow at long horizons of an unstable A: one error, no numpy warnings

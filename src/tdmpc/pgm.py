@@ -13,12 +13,13 @@ of two windows of steps or more drop P, one C call a step, once a ball
 certificate proves it idle; timed calls still execute every step.
 
 The reference minimizer mu*(x), which runs qp.step whatever step the
-controller runs, comes from a chain of three solves, each accepting only
-the columns that pass one certificate on the fixed-point residual of
-that iteration: the unconstrained minimizer -H^{-1} G x where it lies
-strictly inside the box, refined once where it misses the certificate;
-an exact primal active-set solve for the rest; and the iteration run to
-convergence as the last fallback and the test oracle.
+controller runs, comes from a chain of three solves on one product G x,
+each accepting only the columns that pass one certificate, the scaled
+fixed-point residual of that step (_certificate): the unconstrained
+minimizer -H^{-1} G x where it lies strictly inside the box, refined
+once where it misses the certificate; an exact primal active-set solve
+for the rest; and the iteration run until the certificate passes as the
+last fallback and the test oracle.
 """
 
 import math
@@ -246,18 +247,26 @@ def _norms(a):
     return np.sqrt(np.add.reduce(a * a, axis=0))
 
 
+def _certificate(qp, GX, V):
+    """(T(V), ||V - T(V)|| / (1 + ||V||)): one step of qp's own map T and the
+    scaled fixed-point residual of every column, the KKT residual in
+    projected-gradient units that every reference answer has to pass."""
+    TV = _pgm_steps(qp, qp.step, GX, V, 1)
+    return TV, _norms(V - TV) / (1.0 + _norms(V))
+
+
 def _active_set_pass(qp, cfg, free, GX, V, bound):
     """One working-set change for columns that share the free mask `free`.
 
     Steps every column to the minimizer over its free components, stopped
     at the first blocking bound, which joins the working set.  A column
     that takes the full step gets one refinement with the same inverse of
-    H on the free components and one projected gradient step, whose size
-    is its certificate.  If the certificate fails, a bound that the step
-    moves has a multiplier of the wrong sign, and the one it moves most
+    H on the free components and then its certificate, whose step T(V)
+    also says which bounds to keep: if the certificate fails, a bound that
+    T moves has a multiplier of the wrong sign, and the one it moves most
     leaves the working set.
     Updates V and bound in place; returns the columns that changed their
-    working set and the scaled fixed-point residual of the others.
+    working set and the certificate of the others (inf for the changed).
     """
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
     inv = np.linalg.inv(qp.H[np.ix_(free, free)])
@@ -282,12 +291,11 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     f = np.flatnonzero(~blocked)
     Vf, Gf = V[:, f], GX[:, f]
     Vf[free] = _clip(Vf[free] - inv @ (HF @ Vf + Gf[free]), lf, hf)
-    z = Vf - _pgm_steps(qp, qp.step, Gf, Vf, 1)
     residual = np.full(V.shape[1], np.inf)
-    residual[f] = _norms(z) / (1.0 + _norms(Vf))
+    TV, residual[f] = _certificate(qp, Gf, Vf)
     V[:, f] = Vf
     changed = blocked
-    moved = np.where(bound[:, f], np.abs(z), 0.0)
+    moved = np.where(bound[:, f], np.abs(Vf - TV), 0.0)
     worst = moved.argmax(axis=0)
     release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(f.size)] > 0.0)
     bound[worst[release], f[release]] = False
@@ -308,8 +316,7 @@ def _active_set(qp, cfg, GX, V):
     operands.
     Writes V in place and returns (V, ok): ok marks the columns that
     finished within cfg.iter_cap working-set changes and whose
-    certificate, the scaled fixed-point residual ||nu - T(nu)|| / (1 + ||nu||)
-    of the projected gradient map T, is at most cfg.tol_benchmark.
+    certificate (see _certificate) is at most cfg.tol_benchmark.
     """
     bound = (V <= qp.nu_box.lower[:, None]) | (V >= qp.nu_box.upper[:, None])
     changes = np.zeros(V.shape[1], dtype=int)
@@ -336,41 +343,36 @@ def _active_set(qp, cfg, GX, V):
 def solve_benchmark(qp, cfg, x):
     """The reference minimizer mu*(x), solved exactly and certified.
 
-    A chain of three stages; each accepts a column only when its scaled
-    fixed-point residual ||nu - P(nu - 2 alpha (H nu + G x))|| / (1 + ||nu||),
-    the KKT residual in projected-gradient units, is at most
-    tol_benchmark.  First the unconstrained minimizer -H^{-1} G x, the
-    piece of the piecewise-affine mu* with no bound active: accepted
-    where it lies strictly inside the box.  It is clipped before its
-    certificate is taken, which leaves accepted columns unchanged and
-    keeps every norm finite.  An inside column that misses its
-    certificate (at long horizons, where H is ill-conditioned) is refined
-    once with the same inverse and certified again.  Then a primal
+    A chain of three stages on one product G x; each accepts a column only
+    when its certificate (see _certificate), the scaled fixed-point
+    residual ||nu - P(nu - 2 alpha (H nu + G x))|| / (1 + ||nu||) of qp's
+    own step, is at most tol_benchmark.  First the unconstrained minimizer
+    -H^{-1} G x, the piece of the piecewise-affine mu* with no bound
+    active: accepted where it lies strictly inside the box.  It is clipped
+    before its certificate is taken, which leaves accepted columns
+    unchanged and keeps every norm finite.  An inside column that misses
+    its certificate (at long horizons, where H is ill-conditioned) is
+    refined once with the same inverse and certified again.  Then a primal
     active-set solve of the other columns, started from that clipped
     minimizer and the bounds it touches, so mu*(x) depends on x alone.
     A column that fails there or reaches iter_cap working-set changes
-    falls back to solve_benchmark_pgm warm-started from the active-set
-    iterate, unless G x or that iterate is not finite, which raises
-    NumericsError.  Accepts batched x (n, batch), checked on every call,
-    and returns a C-ordered array; x is never written.
+    falls back to projected gradient from the active-set iterate until
+    its certificate passes, unless G x or that iterate is not finite,
+    which raises NumericsError.  Accepts batched x (n, batch), checked on
+    every call, and returns a C-ordered array; x is never written.
     """
     X, sx = _batched(x, qp.W.shape[0], "x")
     GX = qp.G @ X
     lo, hi = qp.nu_box.lower[:, None], qp.nu_box.upper[:, None]
-    inv = qp.H_inv
-
-    def certified(GX, V):
-        residual = _norms(V - _pgm_steps(qp, qp.step, GX, V, 1)) / (1.0 + _norms(V))
-        return residual <= cfg.tol_benchmark
-
+    inv, tol = qp.H_inv, cfg.tol_benchmark
     V = _clip(-(inv @ GX), lo, hi)
     inside = ((lo < V) & (V < hi)).all(axis=0)
-    ok = inside & certified(GX, V)
+    ok = inside & (_certificate(qp, GX, V)[1] <= tol)
     miss = np.flatnonzero(inside & ~ok)
     if miss.size:  # refine once with the same inverse, as an active-set pass does
         Gm, Vm = GX[:, miss], V[:, miss]
         V[:, miss] = Vm = _clip(Vm - inv @ (qp.H @ Vm + Gm), lo, hi)
-        ok[miss] = ((lo < Vm) & (Vm < hi)).all(axis=0) & certified(Gm, Vm)
+        ok[miss] = ((lo < Vm) & (Vm < hi)).all(axis=0) & (_certificate(qp, Gm, Vm)[1] <= tol)
     rest = np.flatnonzero(~ok)
     if rest.size:
         V[:, rest], ok[rest] = _active_set(qp, cfg, GX[:, rest], V[:, rest])
@@ -378,22 +380,35 @@ def solve_benchmark(qp, cfg, x):
         # projected gradient from a non-finite point would only run to its cap
         if not (np.isfinite(GX[:, ~ok]).all() and np.isfinite(V[:, ~ok]).all()):
             raise NumericsError("G x or the active-set iterate contains non-finite entries")
-        V[:, ~ok] = solve_benchmark_pgm(qp, cfg, X[:, ~ok], V[:, ~ok])
+        V[:, ~ok] = _pgm_converge(qp, cfg, GX[:, ~ok], V[:, ~ok])
     return V[:, 0] if sx else V
 
 
-def solve_benchmark_pgm(qp, cfg, x, nu0=None):
-    """Projected gradient iterated to numerical convergence.
+def _pgm_converge(qp, cfg, GX, V):
+    """Projected gradient on qp's own step from V: each step certifies its input
+    and returns it once every column passes, else steps on to its output.
+    BenchmarkSolveError after cfg.iter_cap steps, with the worst certificate."""
+    for _ in range(cfg.iter_cap):
+        TV, residual = _certificate(qp, GX, V)
+        if (residual <= cfg.tol_benchmark).all():
+            return V
+        V = TV
+    worst = float(residual.max())
+    raise BenchmarkSolveError(f"benchmark solve hit the iteration cap {cfg.iter_cap} "
+                              f"(worst scaled residual {worst:.3e})", cfg.iter_cap, worst)
 
-    Stops when the successive difference satisfies
-    ||nu_{j+1} - nu_j|| <= tol * (1 + ||nu_{j+1}||), which under the
-    contraction of the iteration bounds the fixed-point residual by
-    eta * tol * (1 + ||nu||), and raises BenchmarkSolveError after
-    iter_cap iterations.  Accepts batched x (n, batch) and solves all
-    columns simultaneously; extra iterations on already-converged columns
-    are harmless because the map contracts toward mu*.  Starts from nu0
-    projected onto the box, or from zeros.  The fallback of
-    solve_benchmark and the oracle its tests compare against.
+
+def solve_benchmark_pgm(qp, cfg, x, nu0=None):
+    """Projected gradient on qp's own step, iterated until it is certified.
+
+    Stops when every column's certificate (see _certificate) is at most
+    tol_benchmark, the rule that every stage of solve_benchmark accepts
+    by, and raises BenchmarkSolveError after iter_cap iterations.
+    Accepts batched x (n, batch) and solves all columns simultaneously;
+    extra iterations on already-certified columns are harmless because
+    the map contracts toward mu*.  Starts from nu0 projected onto the box,
+    or from zeros.  It runs the loop that solve_benchmark falls back to,
+    and is the oracle its tests compare against.
     """
     if nu0 is None:
         X, sx = _batched(x, qp.W.shape[0], "x")
@@ -401,20 +416,5 @@ def solve_benchmark_pgm(qp, cfg, x, nu0=None):
     else:
         X, V, sx = _batched_pair(qp, x, nu0)
         V = _clip(V, qp.nu_box.lower[:, None], qp.nu_box.upper[:, None])
-    GX = qp.G @ X
-    tol = cfg.tol_benchmark
-    residual = np.inf
-    for it in range(1, cfg.iter_cap + 1):
-        V_next = _pgm_steps(qp, qp.step, GX, V, 1)
-        diff = np.linalg.norm(V_next - V, axis=0)
-        size = 1.0 + np.linalg.norm(V_next, axis=0)
-        V = V_next
-        residual = float(np.max(diff / size))
-        if np.all(diff <= tol * size):
-            return V[:, 0] if sx else V
-    raise BenchmarkSolveError(
-        f"benchmark solve hit the iteration cap {cfg.iter_cap} "
-        f"(worst scaled residual {residual:.3e})",
-        cfg.iter_cap,
-        residual,
-    )
+    V = _pgm_converge(qp, cfg, qp.G @ X, V)
+    return V[:, 0] if sx else V

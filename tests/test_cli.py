@@ -357,6 +357,11 @@ def test_fractional_repeats_key_exits_1(tmp_path, capsys):
     assert err.count("configuration error") == 2 and "2.5" in err
 
 
+# too deep for Python's parser: the sum exhausts its recursion, the signs its memory
+DEEP_SUM = "+".join(["1"] * 100_000)
+DEEP_SIGNS = "-" * 100_000 + "1"
+
+
 @pytest.mark.parametrize("extra, verbs, shown", [
     ("N = five", ["run", "6"], "'five'"),
     ("N = 2.5", ["sweep"], "2.5"),
@@ -382,6 +387,10 @@ def test_fractional_repeats_key_exits_1(tmp_path, capsys):
     ("u_min = [-1e308]\nu_max = [1e308]", ["probe"], "box width upper - lower must be finite"),
     ("u_min = [-5e307]\nu_max = [5e307]", ["constants"], "input box overflows"),
     ("u_min = [-5e307]\nu_max = [5e307]", ["probe"], "input box overflows"),
+    pytest.param(f"N = {DEEP_SUM}", ["sweep"], "'N' must be an integer >= 1, got '1+1+",
+                 id="N deep sum"),
+    pytest.param(f"x0 = {DEEP_SIGNS}", ["sweep"], "'x0' must be numeric, got '---",
+                 id="x0 deep signs"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
     conf = write_conf(tmp_path, extra=extra + "\n")
@@ -394,6 +403,8 @@ def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
 @pytest.mark.parametrize("key, value", [
     ("rho", "1.5"), ("c_w", "-3.0"), ("c_w", "fast"), ("c0", "nan"), ("r_w", "-1.0"),
     ("worst_slack", "bad"), ("pairs", "x"), ("horizon", "-1"),
+    pytest.param("rho", DEEP_SUM, id="rho-deep sum"),
+    pytest.param("c0", DEEP_SIGNS, id="c0-deep signs"),
 ])
 def test_out_of_range_saved_fit_exits_1(tmp_path, capsys, key, value):
     conf = write_conf(tmp_path, extra="N = 5\nT = 5\nell_list = [3]\n")
@@ -404,6 +415,21 @@ def test_out_of_range_saved_fit_exits_1(tmp_path, capsys, key, value):
     assert cli.main(["--config", conf, "--out", str(tmp_path), "sweep"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and str(path) in err and repr(key) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["conf.txt", "ediss_fit.txt"])
+def test_undecodable_file_exits_1(tmp_path, capsys, name):
+    # the byte 0xff is not UTF-8: a configuration error that names the file
+    conf = write_conf(tmp_path, extra="T = 5\nell_list = [3]\n")
+    path = tmp_path / name
+    if name == "ediss_fit.txt":
+        path.write_bytes(b"c0 = 1.0\nc_w = 1.0\nrho = 0.5\nr_w = 0.01\n")
+    path.write_bytes(path.read_bytes() + b"pairs = 20\xff\n")
+    assert cli.main(["--config", conf, "--out", str(tmp_path), "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read configuration file {path}: "
+                          "'utf-8' codec can't decode byte 0xff")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -538,6 +564,20 @@ def test_overflowing_condensing_exits_3_with_one_line(tmp_path, capsys, verbs):
     captured = capsys.readouterr()
     assert captured.err == ("numerical failure: condensing overflows at horizon 400: "
                             "F, L, H, G, W contain non-finite entries\n")
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verbs", [["constants"], ["probe"], ["run", "6"], ["sweep"]])
+def test_horizon_too_long_for_an_array_exits_3_with_one_line(tmp_path, capsys, verbs):
+    # numpy refuses N = 10**18 without allocating; condensing refuses it first
+    conf = write_conf(tmp_path, extra="N = 1000000000000000000\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", conf, "--out", str(out), *verbs]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: condensing overflows at horizon "
+                            "1000000000000000000: its 2000000000000000000 x "
+                            "2000000000000000000 matrices are too big for an array\n")
     assert captured.out == "" and list(out.iterdir()) == []
 
 

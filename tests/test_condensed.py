@@ -151,6 +151,16 @@ def test_build_names_overflowing_prediction_matrices():
         T.build_condensed(model, np.eye(1), np.eye(1), P, 100, box)
 
 
+def test_build_refuses_a_horizon_too_long_for_an_array(small):
+    # 2 * 10**18 squared entries: refused by size before anything is
+    # allocated, where numpy would raise "array is too big"
+    model, Q, R, P, qp = small
+    with pytest.raises(T.NumericsError, match=r"^condensing overflows at horizon "
+                       r"1000000000000000000: its 2000000000000000000 x 2000000000000000000 "
+                       r"matrices are too big for an array$"):
+        T.build_condensed(model, Q, R, P, 10**18, qp.u_box)
+
+
 @pytest.mark.filterwarnings("error")
 def test_step_whose_rate_rounds_to_one_is_rejected():
     # A = 10 at N = 8: H >= R = 1 in exact arithmetic, and its computed least

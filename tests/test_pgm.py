@@ -222,13 +222,25 @@ def _certificate(qp, cfg, X, MU):
 def no_fallback(monkeypatch):
     """Fail the test if solve_benchmark falls back to projected gradient.
 
-    The package-level T.solve_benchmark_pgm stays usable as the oracle.
+    The package-level T.solve_benchmark_pgm, which runs the same loop,
+    stays usable as the oracle.
     """
+    converge, oracle, in_oracle = tdmpc.pgm._pgm_converge, T.solve_benchmark_pgm, []
 
-    def fail(*args):
-        raise AssertionError("the active-set solve fell back to projected gradient")
+    def guarded(*args):
+        if not in_oracle:
+            raise AssertionError("the active-set solve fell back to projected gradient")
+        return converge(*args)
 
-    monkeypatch.setattr(tdmpc.pgm, "solve_benchmark_pgm", fail)
+    def oracle_call(*args):
+        in_oracle.append(True)
+        try:
+            return oracle(*args)
+        finally:
+            in_oracle.pop()
+
+    monkeypatch.setattr(tdmpc.pgm, "_pgm_converge", guarded)
+    monkeypatch.setattr(T, "solve_benchmark_pgm", oracle_call)
 
 
 def test_exact_solve_matches_pgm_oracle_on_random_instances(random_instance, no_fallback):
@@ -308,6 +320,87 @@ def test_active_set_cap_with_capped_fallback_raises(pend):
         T.solve_benchmark(pend.qp, cfg, x)
     assert exc.value.iterations == 2
     assert exc.value.residual > cfg.tol_benchmark
+
+
+# --- one certificate for every stage, one G x for every solve ---
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """Send every third active-set column on to the fallback, started from
+    the box's lower corner, so that all three stages occur.  Returns the
+    (stage, GX) of every active-set and fallback call, in call order."""
+    seen = []
+    active_set, converge = tdmpc.pgm._active_set, tdmpc.pgm._pgm_converge
+
+    def sending(qp, cfg, GX, V):
+        seen.append(("active set", GX.copy()))
+        V, ok = active_set(qp, cfg, GX, V)
+        V[:, ::3], ok[::3] = qp.nu_box.lower[:, None], False
+        return V, ok
+
+    def recorded(qp, cfg, GX, V):
+        seen.append(("fallback", GX.copy()))
+        return converge(qp, cfg, GX, V)
+
+    monkeypatch.setattr(tdmpc.pgm, "_active_set", sending)
+    monkeypatch.setattr(tdmpc.pgm, "_pgm_converge", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("N", [5, 10])
+def test_every_returned_column_passes_the_certificate(pend, random_instance, stages, N):
+    setup = pend if N == pend.N else PendulumSetup(N)
+    rng = np.random.default_rng(80 + N)
+    problems = [(setup.model, setup.qp, setup.cfg)] + [random_instance(rng)[:3]
+                                                       for _ in range(4)]
+    for model, qp, cfg in problems:
+        # scales from the interior to far outside, where every bound saturates
+        X = rng.standard_normal((model.n, 12)) * np.logspace(-3.0, 4.0, 12)
+        stages.clear()
+        MU = T.solve_benchmark(qp, cfg, X)
+        assert [stage for stage, _ in stages] == ["active set", "fallback"]
+        active, fallback = (GX.shape[1] for _, GX in stages)
+        assert 0 < fallback <= active < X.shape[1]  # stage 1 accepted the others
+        assert np.array_equal(qp.nu_box.project(MU), MU)
+        assert np.all(_certificate(qp, cfg, X, MU) <= cfg.tol_benchmark)
+
+
+class _CountedMatmul(np.ndarray):
+    """An array that counts the products it is the left operand of."""
+
+    def __matmul__(self, other):
+        self.calls.append(other.shape)
+        return np.asarray(self) @ other
+
+
+def test_fallback_runs_on_the_solves_own_product(pend, stages):
+    # every state far outside: stage 1 accepts none, the active set gets
+    # all 40 columns and sends columns 0, 3, ..., 39 on to the fallback
+    qp = copy.copy(pend.qp)
+    qp.G = pend.qp.G.view(_CountedMatmul)
+    qp.G.calls = []
+    rng = np.random.default_rng(84)
+    X = rng.standard_normal((2, 40)) * 100.0
+    GX = pend.qp.G @ X
+    MU = T.solve_benchmark(qp, pend.cfg, X)
+    assert qp.G.calls == [(2, 40)]  # one G x per solve, none in the fallback
+    (_, active), (_, fallback) = stages
+    assert active.tobytes() == GX.tobytes()
+    assert fallback.shape == (5, 14) and fallback.tobytes() == GX[:, ::3].tobytes()
+    assert np.all(_certificate(pend.qp, pend.cfg, X, MU) <= pend.cfg.tol_benchmark)
+
+
+def test_cap_residual_is_the_worst_certificate_of_the_last_iterate(pend):
+    # the cap-th step certifies the iterate that cap - 1 steps reached
+    cap, rng = 7, np.random.default_rng(85)
+    X = rng.standard_normal((2, 6))
+    cfg = T.PgmConfig(pend.cfg.step, 1e-300, cap)
+    with pytest.raises(T.BenchmarkSolveError) as exc:
+        T.solve_benchmark_pgm(pend.qp, cfg, X)
+    last = T.pgm_iterate(pend.qp, cfg, X, np.zeros((5, 6)), cap - 1)
+    assert exc.value.iterations == cap
+    assert exc.value.residual == _certificate(pend.qp, cfg, X, last).max() > 0.0
 
 
 # --- grouped active-set solve: same bits as a frozen gather-form oracle ---
@@ -468,7 +561,7 @@ def test_one_working_set_is_bit_identical_to_dict_grouping_at_gemm_tails(no_fall
 def test_non_finite_benchmark_solve_raises_without_fallback(pend, monkeypatch):
     # G x overflows: projected gradient from a NaN iterate would run to iter_cap
     calls = []
-    monkeypatch.setattr(tdmpc.pgm, "solve_benchmark_pgm", lambda *args: calls.append(args))
+    monkeypatch.setattr(tdmpc.pgm, "_pgm_converge", lambda *args: calls.append(args))
     with pytest.warns(RuntimeWarning) as warned:
         with pytest.raises(T.NumericsError, match="non-finite"):
             T.solve_benchmark(pend.qp, pend.cfg, [1e308, 1e308])
