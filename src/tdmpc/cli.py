@@ -69,8 +69,9 @@ def parse_config_text(text):
         try:
             conf[key] = ast.literal_eval(val)
         except (ValueError, SyntaxError, RecursionError, MemoryError):
-            # kept as text, which its key's check rejects; a value too deep
-            # for Python's parser exhausts its recursion or memory instead
+            # kept as text, which its key's check rejects; a value too deep for
+            # Python's parser raises RecursionError or a bare MemoryError, so a
+            # parse that really runs out of memory is rejected as a bad value too
             conf[key] = val
     return conf
 

@@ -248,11 +248,12 @@ def _norms(a):
 
 
 def _certificate(qp, GX, V):
-    """(T(V), ||V - T(V)|| / (1 + ||V||)): one step of qp's own map T and the
-    scaled fixed-point residual of every column, the KKT residual in
-    projected-gradient units that every reference answer has to pass."""
+    """(T(V), V - T(V), ||V - T(V)|| / (1 + ||V||)): one step of qp's own map
+    T, its fixed-point gap and the scaled residual of every column, the KKT
+    residual in projected-gradient units that every reference answer passes."""
     TV = _pgm_steps(qp, qp.step, GX, V, 1)
-    return TV, _norms(V - TV) / (1.0 + _norms(V))
+    gap = V - TV
+    return TV, gap, _norms(gap) / (1.0 + _norms(V))
 
 
 def _active_set_pass(qp, cfg, free, GX, V, bound):
@@ -292,10 +293,10 @@ def _active_set_pass(qp, cfg, free, GX, V, bound):
     Vf, Gf = V[:, f], GX[:, f]
     Vf[free] = _clip(Vf[free] - inv @ (HF @ Vf + Gf[free]), lf, hf)
     residual = np.full(V.shape[1], np.inf)
-    TV, residual[f] = _certificate(qp, Gf, Vf)
+    _, gap, residual[f] = _certificate(qp, Gf, Vf)
     V[:, f] = Vf
     changed = blocked
-    moved = np.where(bound[:, f], np.abs(Vf - TV), 0.0)
+    moved = np.where(bound[:, f], np.abs(gap), 0.0)
     worst = moved.argmax(axis=0)
     release = (residual[f] > cfg.tol_benchmark) & (moved[worst, np.arange(f.size)] > 0.0)
     bound[worst[release], f[release]] = False
@@ -367,12 +368,12 @@ def solve_benchmark(qp, cfg, x):
     inv, tol = qp.H_inv, cfg.tol_benchmark
     V = _clip(-(inv @ GX), lo, hi)
     inside = ((lo < V) & (V < hi)).all(axis=0)
-    ok = inside & (_certificate(qp, GX, V)[1] <= tol)
+    ok = inside & (_certificate(qp, GX, V)[2] <= tol)
     miss = np.flatnonzero(inside & ~ok)
     if miss.size:  # refine once with the same inverse, as an active-set pass does
         Gm, Vm = GX[:, miss], V[:, miss]
         V[:, miss] = Vm = _clip(Vm - inv @ (qp.H @ Vm + Gm), lo, hi)
-        ok[miss] = ((lo < Vm) & (Vm < hi)).all(axis=0) & (_certificate(qp, Gm, Vm)[1] <= tol)
+        ok[miss] = ((lo < Vm) & (Vm < hi)).all(axis=0) & (_certificate(qp, Gm, Vm)[2] <= tol)
     rest = np.flatnonzero(~ok)
     if rest.size:
         V[:, rest], ok[rest] = _active_set(qp, cfg, GX[:, rest], V[:, rest])
@@ -385,11 +386,10 @@ def solve_benchmark(qp, cfg, x):
 
 
 def _pgm_converge(qp, cfg, GX, V):
-    """Projected gradient on qp's own step from V: each step certifies its input
-    and returns it once every column passes, else steps on to its output.
-    BenchmarkSolveError after cfg.iter_cap steps, with the worst certificate."""
+    """The first of V, T(V), T(T(V)), ... whose columns all pass their certificate;
+    after cfg.iter_cap of them, BenchmarkSolveError with the last one's worst."""
     for _ in range(cfg.iter_cap):
-        TV, residual = _certificate(qp, GX, V)
+        TV, _, residual = _certificate(qp, GX, V)
         if (residual <= cfg.tol_benchmark).all():
             return V
         V = TV

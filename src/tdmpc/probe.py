@@ -15,7 +15,7 @@ import numpy as np
 from .closed_loop import _benchmark_steps
 from .condensed import _batched
 from .numerics import NumericsError
-from .pgm import _certificate, _pgm_steps, _step_of, certified_rate, solve_benchmark
+from .pgm import _pgm_steps, _step_of, certified_rate, solve_benchmark
 from .report import field_pairs, kv_lines
 
 
@@ -257,7 +257,7 @@ def audit_contraction(qp, cfg, sampler, rng, samples=1000, ell_max=50):
     GX = qp.G @ X
     norm0 = np.linalg.norm(NU0 - MU, axis=0)
     size = 1.0 + np.linalg.norm(MU, axis=0)
-    residual = np.linalg.norm(MU - _certificate(qp, GX, MU)[0], axis=0)
+    residual = np.linalg.norm(MU - _pgm_steps(qp, qp.step, GX, MU, 1), axis=0)
     resolution = (residual + np.finfo(float).eps * size) / (1.0 - qp.step.eta)
     ratios = np.zeros(samples)
     V = NU0

@@ -847,7 +847,7 @@ def test_reference_solver_runs_the_problems_own_step(pend, N):
     X = np.hstack([np.outer(setup.x0, np.linspace(-6.0, 6.0, 13)),
                    rng.standard_normal((2, 12)) * np.logspace(-2.0, 1.0, 12)])
     mu = T.solve_benchmark(qp, cfg, X)
-    oracle = T.solve_benchmark_pgm(qp, cfg, X, mu)  # from mu: each step's last bits show
+    oracle = T.solve_benchmark_pgm(qp, cfg, X, mu)  # mu passes: no step (see the next test)
     for alpha in (cfg.alpha / 2.0, 0.9 / T.sym_eig(qp.H).max):
         other = T.PgmConfig(_step(qp, alpha), cfg.tol_benchmark, cfg.iter_cap)
         assert other.step is not qp.step and other.alpha == alpha
@@ -856,6 +856,36 @@ def test_reference_solver_runs_the_problems_own_step(pend, N):
         with pytest.raises(T.BenchmarkSolveError) as exc:
             T.solve_benchmark(qp, T.PgmConfig(other.step, 1e-300, 50), setup.x0)
         assert exc.value.iterations == 50
+
+
+@pytest.mark.parametrize("N", [5, 10])
+def test_reference_oracle_steps_the_problems_own_map(pend, N, monkeypatch):
+    # from a start that misses the certificate the oracle has to step, and
+    # every step's last bits, and the number of steps, are qp.step's alone;
+    # the start is mu* moved by 1e-10, so that N = 10 (eta = 0.9997) stays quick
+    setup = pend if N == pend.N else PendulumSetup(N)
+    qp, cfg = setup.qp, setup.cfg
+    rng = np.random.default_rng(74)
+    X = rng.standard_normal((2, 12)) * np.logspace(-2.0, 1.0, 12)
+    start = qp.nu_box.project(T.solve_benchmark(qp, cfg, X)
+                              + 1e-10 * rng.standard_normal((qp.H.shape[0], 12)))
+    assert np.any(_certificate(qp, cfg, X, start) > cfg.tol_benchmark)
+    calls, certificate = [0], tdmpc.pgm._certificate
+
+    def counted(*args):
+        calls[0] += 1
+        return certificate(*args)
+
+    monkeypatch.setattr(tdmpc.pgm, "_certificate", counted)
+    oracle = T.solve_benchmark_pgm(qp, cfg, X, start)
+    steps = calls[0] - 1  # the last certificate passes and steps no more
+    assert steps >= 1 and oracle.tobytes() != start.tobytes()
+    assert np.all(_certificate(qp, cfg, X, oracle) <= cfg.tol_benchmark)
+    for alpha in (cfg.alpha / 2.0, 0.9 / T.sym_eig(qp.H).max):
+        other = T.PgmConfig(_step(qp, alpha), cfg.tol_benchmark, cfg.iter_cap)
+        calls[0] = 0
+        assert T.solve_benchmark_pgm(qp, other, X, start).tobytes() == oracle.tobytes()
+        assert calls[0] - 1 == steps
 
 
 def test_timed_preset_run_steps_clip_free(pend, kernel_steps):
