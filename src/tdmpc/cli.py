@@ -8,7 +8,10 @@ calibrate-N (scan the horizon for a target contraction factor).
 Configuration files are flat `key = value` text; values are Python
 literals (numbers, strings, or nested lists for matrices) and `#` starts
 a comment.  Exit codes: 0 success, 1 configuration error, 2 failed
-empirical or certificate check, 3 numerical failure.
+empirical or certificate check, 3 numerical failure.  A bad command line
+(an unknown verb or flag, a flag value of the wrong type, a missing or
+extra argument) is a configuration error.  Flags may come before, between
+or after the verb and run's target.
 """
 
 import argparse
@@ -199,7 +202,8 @@ def checked(raw, keys, where="configuration key"):
 
     A key outside the table, a missing REQUIRED key and a value its check
     rejects (the check raises ValueError) are configuration errors whose
-    one-line messages start with `where` and the key.
+    one-line messages start with `where` and the key; a rejected value's
+    repr is cut at 200 characters, and its length is given.
     """
     for key in raw:
         if key not in keys:
@@ -211,7 +215,10 @@ def checked(raw, keys, where="configuration key"):
         try:
             conf[key] = check(raw[key]) if key in raw else default
         except ValueError as exc:
-            raise ConfigError(f"{where} {key!r} {exc}, got {raw[key]!r}") from exc
+            shown = repr(raw[key])
+            if len(shown) > 200:
+                shown = f"{shown[:200]}... ({len(shown)} characters)"
+            raise ConfigError(f"{where} {key!r} {exc}, got {shown}") from exc
     return conf
 
 
@@ -221,7 +228,7 @@ def resolve_config(args):
     file_conf = {} if args.config is None else load_config(args.config)
     preset_name = file_conf.pop("preset", None if args.config else "pendulum")
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigError(
                 f"unknown preset {preset_name!r}; available: {sorted(PRESETS)}"
             )
@@ -274,15 +281,26 @@ def build_model(conf):
 def build_setup(conf):
     """Condensed QP and optimizer configuration for the configured horizon.
 
-    Also ends a finite x0 whose G x0 overflows, before any fit or solve
-    could warn about it; calibrate-N never forms G x0.
+    Also ends a finite x0 whose G x0 overflows, or so large that the loop's
+    norms and costs could, before any fit or solve could warn about it;
+    calibrate-N never forms G x0.
     """
     model, Q, R, box, P, K = build_model(conf)
     qp = build_condensed(model, Q, R, P, conf["N"], box)
+    x0 = conf["x0"]
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(qp.G @ conf["x0"]).all()
+        finite = np.isfinite(qp.G @ x0).all()
     if not finite:
         raise NumericsError("G x0 contains non-finite entries")
+    # the divergence guard ends a run outside ||x|| <= 1e6 (1 + ||x0||), so T + 1
+    # stage costs in that ball must be finite; Python floats overflow to inf
+    # quietly, x0 / max|x0| cannot overflow, and min() keeps a huge T off float()
+    top = float(np.abs(x0).max())
+    radius = 1e6 * (1.0 + (top * float(np.linalg.norm(x0 / top)) if top else 0.0))
+    stages = min(conf["T"] + 1, sys.float_info.max)
+    if not math.isfinite(radius * radius * (spectral_norm(Q) + spectral_norm(P)) * stages):
+        raise NumericsError("x0 or T is too large: the cost (1e6 (1 + ||x0||))^2 (||Q|| + ||P||) "
+                            "(T + 1) of the divergence guard's ball overflows")
     cfg = pgm_config(qp, tol_benchmark=conf["tol_benchmark"], iter_cap=conf["iter_cap"])
     return model, qp, cfg, K
 
@@ -400,10 +418,6 @@ def cmd_probe(conf, out_dir):
 
 
 def cmd_run(conf, out_dir, target):
-    if target != "benchmark" and not (str(target).isdecimal() and int(target) >= 1):
-        raise ConfigError(
-            f"run target must be an iteration budget >= 1 or 'benchmark', got {target!r}"
-        )
     model, qp, cfg, K = build_setup(conf)
     x0, T, repeats = conf["x0"], conf["T"], conf["repeats"]
     if target == "benchmark":
@@ -561,47 +575,41 @@ def svg_line_plot(path, series, xlabel, ylabel):
     _write_lines(path, parts)
 
 
-def main(argv=None):
-    # the shared flags are accepted both before and after the verb; the
-    # SUPPRESS defaults keep the subparser pass from clobbering values
-    # already parsed ahead of the verb, so the defaults live in the namespace
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="path to a key = value file")
-    common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument("--seed", type=int, help="override the rng seed")
-    common.add_argument("--svg", action="store_true", help="also write an SVG plot")
-    common.add_argument(
-        "--repeats", type=int,
-        help="timing repetitions per step; 0 disables timing for reproducible output",
-    )
-    parser = argparse.ArgumentParser(
-        prog="tdmpc",
-        description="closed-loop simulation and certification of suboptimal "
-                    "time-distributed linear-quadratic MPC",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    sub.add_parser("constants", parents=[common],
-                   help="compute and report every certified constant")
-    sub.add_parser("sweep", parents=[common],
-                   help="closed-loop sweep over iteration budgets")
-    sub.add_parser("probe", parents=[common],
-                   help="empirical stability and contraction checks")
-    runp = sub.add_parser("run", parents=[common],
-                          help="one closed-loop run written to CSV")
-    runp.add_argument("target", help="iteration budget or 'benchmark'")
-    sub.add_parser("calibrate-N", parents=[common],
-                   help="scan horizons for the target contraction factor")
-    args = parser.parse_args(argv, argparse.Namespace(
-        config=None, out=".", seed=None, svg=False, repeats=None))
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are configuration errors, not exit 2."""
 
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def main(argv=None):
+    parser = _Parser(prog="tdmpc", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("verb", choices=["constants", "sweep", "probe", "run", "calibrate-N"])
+    parser.add_argument("target", nargs="?", help="run's iteration budget or 'benchmark'")
+    parser.add_argument("--config", help="path to a key = value file")
+    parser.add_argument("--out", default=".", help="output directory (default: current)")
+    parser.add_argument("--seed", type=int, help="override the rng seed")
+    parser.add_argument("--svg", action="store_true", help="also write an SVG plot")
+    parser.add_argument("--repeats", type=int, help="timing repetitions per step; "
+                        "0 disables timing for reproducible output")
     try:
+        # flags may come before, between or after the verb and its target
+        args = parser.parse_intermixed_args(argv)
+        # a bad target is refused, like a bad flag, before --out is created
+        target = args.target
+        if args.verb != "run" and target is not None:
+            raise ConfigError(f"{args.verb} takes no target, got {target!r}")
+        if args.verb == "run" and target != "benchmark" and not (
+                str(target).isdecimal() and int(target) >= 1):
+            raise ConfigError(
+                f"run target must be an iteration budget >= 1 or 'benchmark', got {target!r}")
         conf = resolve_config(args)
         os.makedirs(args.out, exist_ok=True)
         if args.verb == "sweep":
             return cmd_sweep(conf, args.out, svg=args.svg)
         if args.verb == "run":
-            return cmd_run(conf, args.out, args.target)
+            return cmd_run(conf, args.out, target)
         verbs = {"constants": cmd_constants, "probe": cmd_probe, "calibrate-N": cmd_calibrate_n}
         return verbs[args.verb](conf, args.out)
     except ConfigError as exc:

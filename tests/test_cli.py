@@ -3,7 +3,9 @@
 import argparse
 import inspect
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -391,6 +393,8 @@ DEEP_SIGNS = "-" * 100_000 + "1"
                  id="N deep sum"),
     pytest.param(f"x0 = {DEEP_SIGNS}", ["sweep"], "'x0' must be numeric, got '---",
                  id="x0 deep signs"),
+    pytest.param("preset = [1]", ["constants"], "unknown preset [1]", id="preset list"),
+    pytest.param("preset = {1: 2}", ["constants"], "unknown preset {1: 2}", id="preset dict"),
 ])
 def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
     conf = write_conf(tmp_path, extra=extra + "\n")
@@ -398,6 +402,16 @@ def test_bad_config_value_exits_1(tmp_path, capsys, extra, verbs, shown):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and shown in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_long_rejected_value_is_cut_and_its_length_given(tmp_path, capsys):
+    # the repr of the 199,999-character sum has 200,001 characters
+    conf = write_conf(tmp_path, extra=f"N = {DEEP_SUM}\n")
+    assert cli.main(["--config", conf, "--out", str(tmp_path / "out"), "constants"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: configuration key 'N' must be an integer >= 1, "
+                          f"got {DEEP_SUM[:199]!r}"[:-1] + "... (200001 characters)")
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 500
 
 
 @pytest.mark.parametrize("key, value", [
@@ -636,6 +650,96 @@ def test_calibrate_n_never_forms_g_x0(tmp_path, capsys):
     conf = write_conf(tmp_path, extra=OVERFLOW_X0)
     assert cli.main(["--config", conf, "--out", str(tmp_path / "cal"), "calibrate-N"]) == 0
     assert capsys.readouterr().err == ""
+
+
+BALL_MESSAGE = ("x0 or T is too large: the cost (1e6 (1 + ||x0||))^2 (||Q|| + ||P||) (T + 1) "
+                "of the divergence guard's ball overflows")
+VERBS = [["constants"], ["probe"], ["sweep"], ["run", "6"], ["run", "benchmark"]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0", ["[1e200, 1e200]", "[1e150, 1e150]"])
+@pytest.mark.parametrize("verbs", VERBS, ids=" ".join)
+def test_start_too_large_for_the_guard_exits_3_at_once(tmp_path, capsys, verbs, x0):
+    # G x0 is finite, but ||x0|| overflows at 1e200, so the divergence guard
+    # could never trip, and at 1e150 the guard's own norms overflow: every
+    # verb that forms G x0 ends before any fit or solve, with no numpy warning
+    conf = write_conf(tmp_path, extra=f"x0 = {x0}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", conf, "--out", str(out), *verbs]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {BALL_MESSAGE}\n"
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verbs", VERBS, ids=" ".join)
+def test_large_start_inside_the_guards_reach_runs(tmp_path, capsys, verbs):
+    conf = write_conf(tmp_path, extra="x0 = [1e140, 1e140]\n")
+    assert cli.main(["--config", conf, "--out", str(tmp_path / "out"), *verbs]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_build_setup_bounds_the_cost_of_the_guards_ball(tmp_path):
+    def setup(extra):
+        conf = cli.resolve_config(argparse.Namespace(
+            config=write_conf(tmp_path, extra=extra), seed=None, repeats=None))
+        return cli.build_setup(conf)
+
+    # the preset's start, the benchmark's divergence from [3, 0] over 1000
+    # steps and a start of 1e140 all keep the ball's cost finite
+    for extra in ("", "T = 1000\nx0 = [3.0, 0.0]\n", "x0 = [1e140, 1e140]\n"):
+        setup(extra)
+    # ||x0|| itself is finite here, but its square is not
+    for extra in ("x0 = [1e160, 0.0]\n", f"T = {10**400}\n"):
+        with pytest.raises(T.NumericsError, match=re.escape(BALL_MESSAGE)):
+            setup(extra)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--seed", "x", "constants"], ["--repeats", "1.5", "run", "6"],
+    ["--nope", "constants"], ["constants", "extra"], ["run", "6", "7"], ["run"],
+], ids=lambda argv: " ".join(argv) or "no verb")
+def test_bad_command_line_is_a_one_line_configuration_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_bad_command_line_exits_1_from_the_console(tmp_path):
+    # the entry point's own process: one stderr line, no usage block or traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "tdmpc.cli", "bogus"], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("configuration error: argument verb: invalid choice: 'bogus'")
+    assert len(done.stderr.splitlines()) == 1
+
+
+def test_flags_may_come_anywhere(tmp_path, capsys):
+    conf = write_conf(tmp_path)
+    out = str(tmp_path / "out")
+    seen = set()
+    for argv in (["--config", conf, "--out", out, "--repeats", "0", "run", "6"],
+                 ["run", "--out", out, "6", "--repeats", "0", "--config", conf],
+                 ["run", "6", "--repeats", "0", "--config", conf, "--out", out]):
+        assert cli.main(argv) == 0
+        seen.add((capsys.readouterr().out, (tmp_path / "out" / "run_ell6.csv").read_bytes()))
+    assert len(seen) == 1
+
+
+def test_help_names_the_verbs_and_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["-h"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for verb in ("constants", "sweep", "probe", "run", "calibrate-N"):
+        assert f"{verb} (" in text, verb
+    assert ("Exit codes: 0 success, 1 configuration error, 2 failed empirical or certificate "
+            "check, 3 numerical failure. A bad command line") in text
 
 
 def test_fit_fingerprint_covers_the_problem_not_the_run(tmp_path):
