@@ -9,9 +9,9 @@ Configuration files are flat `key = value` text; values are Python
 literals (numbers, strings, or nested lists for matrices) and `#` starts
 a comment.  Exit codes: 0 success, 1 configuration error, 2 failed
 empirical or certificate check, 3 numerical failure.  A bad command line
-(an unknown verb or flag, a flag value of the wrong type, a missing or
-extra argument) is a configuration error.  Flags may come before, between
-or after the verb and run's target.
+(an unknown verb or flag, a flag value of the wrong type, --svg on a verb
+other than sweep, a missing or extra argument) is a configuration error.
+Flags may come before, between or after the verb and run's target.
 """
 
 import argparse
@@ -29,6 +29,7 @@ from .certificates import (
     sample_gamma,
 )
 from .closed_loop import (
+    _check_reach,
     _check_start,
     cost_JT,
     run_benchmark,
@@ -279,28 +280,11 @@ def build_model(conf):
 
 
 def build_setup(conf):
-    """Condensed QP and optimizer configuration for the configured horizon.
-
-    Also ends a finite x0 whose G x0 overflows, or so large that the loop's
-    norms and costs could, before any fit or solve could warn about it;
-    calibrate-N never forms G x0.
-    """
+    """Condensed QP and optimizer configuration, after the closed loop's reach check of the
+    start, which ends a bad one before any fit or solve (calibrate-N never forms G x0)."""
     model, Q, R, box, P, K = build_model(conf)
     qp = build_condensed(model, Q, R, P, conf["N"], box)
-    x0 = conf["x0"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(qp.G @ x0).all()
-    if not finite:
-        raise NumericsError("G x0 contains non-finite entries")
-    # the divergence guard ends a run outside ||x|| <= 1e6 (1 + ||x0||), so T + 1
-    # stage costs in that ball must be finite; Python floats overflow to inf
-    # quietly, x0 / max|x0| cannot overflow, and min() keeps a huge T off float()
-    top = float(np.abs(x0).max())
-    radius = 1e6 * (1.0 + (top * float(np.linalg.norm(x0 / top)) if top else 0.0))
-    stages = min(conf["T"] + 1, sys.float_info.max)
-    if not math.isfinite(radius * radius * (spectral_norm(Q) + spectral_norm(P)) * stages):
-        raise NumericsError("x0 or T is too large: the cost (1e6 (1 + ||x0||))^2 (||Q|| + ||P||) "
-                            "(T + 1) of the divergence guard's ball overflows")
+    _check_reach(qp, conf["x0"], conf["T"])
     cfg = pgm_config(qp, tol_benchmark=conf["tol_benchmark"], iter_cap=conf["iter_cap"])
     return model, qp, cfg, K
 
@@ -590,7 +574,7 @@ def main(argv=None):
     parser.add_argument("--config", help="path to a key = value file")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--seed", type=int, help="override the rng seed")
-    parser.add_argument("--svg", action="store_true", help="also write an SVG plot")
+    parser.add_argument("--svg", action="store_true", help="sweep only: also write an SVG plot")
     parser.add_argument("--repeats", type=int, help="timing repetitions per step; "
                         "0 disables timing for reproducible output")
     try:
@@ -600,6 +584,8 @@ def main(argv=None):
         target = args.target
         if args.verb != "run" and target is not None:
             raise ConfigError(f"{args.verb} takes no target, got {target!r}")
+        if args.svg and args.verb != "sweep":
+            raise ConfigError(f"--svg applies to sweep only, not to {args.verb}")
         if args.verb == "run" and target != "benchmark" and not (
                 str(target).isdecimal() and int(target) >= 1):
             raise ConfigError(
@@ -620,6 +606,9 @@ def main(argv=None):
         return 2
     except (NumericsError, BenchmarkSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         # --out cannot be created or an output cannot be written there

@@ -10,12 +10,13 @@ also records its per-step optimizer errors.
 """
 
 import operator
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .numerics import NumericsError
+from .numerics import NumericsError, spectral_norm
 from .pgm import _budget, _pgm_iterate_untimed, pgm_iterate, solve_benchmark
 
 
@@ -115,17 +116,47 @@ def _benchmark_steps(model, qp, cfg, x, T, repeats, disturbances=None):
                   None, disturbances)
 
 
+def _guard_radius(x0):
+    """The radius 1e6 (1 + ||x0||) of the divergence guard of a run from x0; inf if it overflows."""
+    with np.errstate(over="ignore"):
+        return 1e6 * (1.0 + float(np.linalg.norm(x0)))
+
+
 def _diverged(x, x0):
     """The divergence guard ||x|| > 1e6 (1 + ||x0||) of a run from x0."""
-    return np.linalg.norm(x) > 1e6 * (1.0 + float(np.linalg.norm(x0)))
+    return np.linalg.norm(x) > _guard_radius(x0)
 
 
-def _until_diverged(steps, x0):
-    """The steps of a loop from x0 up to and including its first diverged state."""
-    for step in steps:
-        yield step
-        if _diverged(step[2], x0):
-            return
+def _check_reach(qp, x0, T):
+    """The guard's radius r of T steps from a checked x0, once G x0, the cost (T + 1) r^2
+    (||Q|| + ||P||) of its ball and its record's T + 1 rows of max(n, dim H) floats are
+    known to fit floats and an array; NumericsError otherwise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(qp.G @ x0).all():
+            raise NumericsError("G x0 contains non-finite entries")
+    # Python floats overflow to inf quietly, and min() keeps a huge T off float()
+    r = _guard_radius(x0)
+    if not np.isfinite(r * r * (spectral_norm(qp.Q) + spectral_norm(qp.P))
+                       * min(T + 1, sys.float_info.max)):
+        raise NumericsError("x0 or T is too large: the cost (1e6 (1 + ||x0||))^2 (||Q|| + ||P||) "
+                            "(T + 1) of the divergence guard's ball overflows")
+    width = max(x0.size, qp.H.shape[0])
+    if (T + 1) * width * 8 > np.iinfo(np.intp).max:
+        raise NumericsError(f"horizon T = {T} is too long: its run record of T + 1 rows of "
+                            f"{width} floats is too big for an array")
+    return r
+
+
+def _loop(model, qp, x0, T, repeats, policy, nu=None):
+    """(states, nus, applied, seconds) of a run under policy, up to its first diverged state."""
+    radius = _check_reach(qp, x0, T)
+    steps = []
+    for step in _steps(model, qp, x0, T, repeats, policy, nu):
+        steps.append(step)
+        if np.linalg.norm(step[2]) > radius:
+            break
+    nus, applied, states, seconds = map(np.array, zip(*steps))
+    return np.vstack((x0, states)), nus, applied, seconds
 
 
 def run_benchmark(model, qp, cfg, x0, T, repeats=1):
@@ -134,10 +165,8 @@ def run_benchmark(model, qp, cfg, x0, T, repeats=1):
     A state that trips the divergence guard ends the run, as in run_tdmpc.
     """
     x0, T = _check_start(model, x0, T)
-    inputs, applied, states, times = zip(
-        *_until_diverged(_benchmark_steps(model, qp, cfg, x0, T, repeats), x0))
-    return ClosedLoopRun(np.array((x0,) + states), np.array(inputs), np.array(applied),
-                         np.array(times))
+    return ClosedLoopRun(*_loop(model, qp, x0, T, repeats,
+                                lambda k, x, nu: solve_benchmark(qp, cfg, x)))
 
 
 def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
@@ -154,13 +183,12 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
     """
     x0, T = _check_start(model, x0, T)
     if np.ndim(ell_schedule) == 0:
-        schedule = [_budget(ell_schedule)] * T
+        budget = lambda k, ell=_budget(ell_schedule): ell
     else:
         schedule = [_budget(e) for e in ell_schedule]
-    if len(schedule) != T:
-        raise NumericsError(
-            f"iteration schedule has length {len(schedule)}, expected {T}"
-        )
+        if len(schedule) != T:
+            raise NumericsError(f"iteration schedule has length {len(schedule)}, expected {T}")
+        budget = schedule.__getitem__
 
     if nu_init is None:
         nu = np.zeros(qp.H.shape[0])
@@ -169,16 +197,12 @@ def run_tdmpc(model, qp, cfg, x0, ell_schedule, T, nu_init=None, repeats=1):
 
     # untimed runs skip exact repeats of the orbit; timed runs time every step
     iterate = pgm_iterate if repeats else _pgm_iterate_untimed
-    steps = list(_until_diverged(
-        _steps(model, qp, x0, T, repeats, lambda k, x, nu: iterate(qp, cfg, x, nu, schedule[k]),
-               nu), x0))
-
-    inputs, applied, states, times = map(np.array, zip(*steps))
-    states = np.vstack((x0, states))
+    states, inputs, applied, times = _loop(
+        model, qp, x0, T, repeats, lambda k, x, nu: iterate(qp, cfg, x, nu, budget(k)), nu)
     warm = np.vstack((nu, inputs[:-1]))
     mu = solve_benchmark(qp, cfg, states[:-1].T).T
     return ClosedLoopRun(states, inputs, applied, times, np.linalg.norm(inputs - mu, axis=1),
-                         np.linalg.norm(warm - mu, axis=1), schedule[:len(steps)])
+                         np.linalg.norm(warm - mu, axis=1), [budget(k) for k in range(len(times))])
 
 
 def cost_JT(run, Q, R, P):
@@ -211,11 +235,8 @@ def truncate_run(run, T):
     """Prefix of a run with T applied inputs; used to compare against a shorter run."""
     if T > run.T:
         raise NumericsError(f"cannot truncate a {run.T}-step run to {T} steps")
-    per_step = ("states", "inputs", "applied", "solve_times", "d_norms",
-                "warm_gap_norms", "ell_schedule")
-    fields = {f: v[:T + 1 if f == "states" else T] for f in per_step
-              if (v := getattr(run, f)) is not None}
-    return replace(run, **fields)
+    return replace(run, **{f.name: v[:T + 1 if f.name == "states" else T] for f in fields(run)
+                           if (v := getattr(run, f.name)) is not None})
 
 
 def write_run_csv(run, path):

@@ -696,9 +696,94 @@ def test_build_setup_bounds_the_cost_of_the_guards_ball(tmp_path):
             setup(extra)
 
 
+def _runs(pend, x0, horizon):
+    """The benchmark and a truncated run of the calibrated pendulum from x0, unstarted."""
+    m, qp, cfg = pend.model, pend.qp, pend.cfg
+    return (lambda: T.run_benchmark(m, qp, cfg, x0, horizon, repeats=0),
+            lambda: T.run_tdmpc(m, qp, cfg, x0, 6, horizon, repeats=0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0, message", [
+    ([1e150, 1e150], BALL_MESSAGE), ([1e200, 1e200], BALL_MESSAGE),
+    ([1e308, 1e308], OVERFLOW_MESSAGE),
+])
+def test_library_runs_refuse_starts_beyond_the_guards_reach(pend, x0, message):
+    # the runs check a start as the CLI does, before any step and with no numpy warning
+    for run in _runs(pend, x0, 30):
+        with pytest.raises(T.NumericsError, match=f"^{re.escape(message)}$"):
+            run()
+
+
+@pytest.mark.filterwarnings("error")
+def test_library_runs_from_a_large_start_inside_the_guards_reach(pend):
+    for run in _runs(pend, [1e140, 1e140], 30):
+        done = run()
+        assert np.isfinite(T.cost_JT(done, pend.qp.Q, pend.qp.R, pend.qp.P))
+
+
+def test_build_setup_and_the_runs_refuse_the_same_starts(tmp_path, pend):
+    # near the edge of the guard's reach, the CLI refuses a start exactly when the library does
+    verdicts = set()
+    for horizon in (30, 10**6, 10**300):
+        for k in range(140, 161):
+            x0 = f"[1e{k}, 1e{k}]"
+            conf = cli.resolve_config(argparse.Namespace(
+                config=write_conf(tmp_path, extra=f"T = {horizon}\nx0 = {x0}\n"),
+                seed=None, repeats=None))
+            said = []
+            for check in (lambda: cli.build_setup(conf), *_runs(pend, conf["x0"], horizon)):
+                try:
+                    check()
+                    said.append(None)
+                except T.NumericsError as exc:
+                    said.append(str(exc))
+            assert said[0] == said[1] == said[2], (horizon, k)
+            verdicts.add(said[0])
+    assert verdicts == {None, BALL_MESSAGE}
+
+
+LONG_MESSAGE = ("horizon T = 10000000000000000000 is too long: its run record of T + 1 rows "
+                "of 5 floats is too big for an array")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verbs", [["constants"], ["sweep"], ["run", "6"], ["run", "benchmark"]],
+                         ids=" ".join)
+def test_horizon_too_long_for_a_run_record_exits_3_at_once(tmp_path, capsys, verbs):
+    # (T + 1) max(n, dim H) floats cannot be indexed at T = 10**19, as no
+    # array of N = 10**18's condensing can; the preset never trips the guard
+    conf = write_conf(tmp_path, extra="T = 10000000000000000000\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", conf, "--out", str(out), *verbs]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {LONG_MESSAGE}\n"
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+def test_library_runs_refuse_a_horizon_too_long_for_their_record(pend):
+    for run in _runs(pend, pend.x0, 10**19):
+        with pytest.raises(T.NumericsError, match=f"^{re.escape(LONG_MESSAGE)}$"):
+            run()
+
+
+def test_out_of_memory_is_a_one_line_numerical_failure(tmp_path, capsys, monkeypatch):
+    # injected: a real allocation this large may be killed instead of refused
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)")
+
+    monkeypatch.setattr(cli, "compute_certificates", exhausted)
+    assert cli.main(["--config", write_conf(tmp_path), "--out", str(tmp_path), "constants"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: out of memory: Unable to allocate 298. GiB for "
+                            "an array with shape (200000, 200000)\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     [], ["bogus"], ["--seed", "x", "constants"], ["--repeats", "1.5", "run", "6"],
     ["--nope", "constants"], ["constants", "extra"], ["run", "6", "7"], ["run"],
+    ["--svg", "constants"], ["run", "6", "--svg"],
 ], ids=lambda argv: " ".join(argv) or "no verb")
 def test_bad_command_line_is_a_one_line_configuration_error(tmp_path, capsys, argv):
     out = tmp_path / "out"

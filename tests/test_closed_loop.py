@@ -1,5 +1,6 @@
 """Closed-loop simulation: benchmark loop, truncated loop, costs, CSV round trip."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -484,3 +485,16 @@ def test_timed_and_untimed_policies_give_the_same_run(pend, case):
     assert timed.ell_schedule == untimed.ell_schedule
     assert (timed.stable, timed.T) == (untimed.stable, untimed.T)
     assert timed.stable == (case != "diverging")
+
+
+def test_long_horizon_run_allocates_only_what_it_steps(pend):
+    # nothing of length T is built before the loop: from [3, 0] the guard
+    # ends the run within a hundred steps, whatever T asks for
+    tracemalloc.start()
+    try:
+        run = T.run_tdmpc(pend.model, pend.qp, pend.cfg, [3.0, 0.0], 6, 10**7, repeats=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not run.stable and run.T < 100 and run.ell_schedule == [6] * run.T
+    assert peak < 2**20
