@@ -216,7 +216,7 @@ def tau_star(beta, kappa, sigma, omega, eta, ell):
 def epsilon_rate(beta, kappa, sigma, omega, eta, ell, tau):
     """Combined contraction rate for a given branch weight tau."""
     r = certified_rate(eta, ell)
-    if math.isinf(tau):
+    if tau == 0.0 or math.isinf(tau):  # the limits at both ends; sigma = 0 gives tau = 0
         return max(beta, omega * r)
     return max(beta + tau * kappa * r, (sigma + tau * omega * r) / tau)
 

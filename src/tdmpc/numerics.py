@@ -193,8 +193,8 @@ def _expm(M):
     # scaling and squaring with a 30-term Taylor series on the scaled matrix
     norm = np.linalg.norm(M, np.inf)
     s = 0
-    if norm > 0.5:
-        s = int(np.ceil(np.log2(norm / 0.5)))
+    if norm > 0.5:  # 2**s at most 2**1023, the largest float power; an infinite M gives NaN
+        s = int(np.ceil(np.log2(min(norm, 2.0 ** 1022) / 0.5)))
     Ms = M / (2.0 ** s)
     E = np.eye(M.shape[0])
     term = np.eye(M.shape[0])

@@ -105,26 +105,39 @@ def _holdout_draw(sampler, rng, r_w, W):
     return Xh, Yh, np.linalg.norm(dirs, axis=1)
 
 
+def _finite(dev, wnorms, r_w):
+    """dev, once it and the disturbance norms are known finite."""
+    if not (np.all(np.isfinite(dev)) and np.all(np.isfinite(wnorms))):
+        raise NumericsError(f"r_w = {r_w!r} is too large: the fit's deviation norms overflow")
+    return dev
+
+
+def _ratios(num, den):
+    """num / den, reading 0 where den underflowed to 0: such a bound bounds nothing."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
 def _pulse_gain(devw, pulse_steps, mags, rho):
     """Worst ratio devw[k, j] / (rho^(k-i-1) mags[j]) over the steps k > i
     after pair j's pulse at step i = pulse_steps[j]; 0 for none."""
     pows = np.array([rho ** j for j in range(devw.shape[0] - 1)])  # Python powers
     k, j = np.nonzero(np.arange(devw.shape[0])[:, None] > pulse_steps)
-    return float(np.max(devw[k, j] / (pows[k - pulse_steps[j] - 1] * mags[j]), initial=0.0))
+    return float(np.max(_ratios(devw[k, j], pows[k - pulse_steps[j] - 1] * mags[j]), initial=0.0))
 
 
 def _geometric_envelope(traj, error, empty, growing, clamp):
     """Envelope traj[k] <= const rate^k traj[0] of (K+1, samples) norms.
 
-    Drops samples with traj[0] <= 1e-12.  The rate is the worst per-step
-    rate over the tail half k >= K/2 (the asymptotic regime), then clamped
-    by the caller's clamp; const absorbs the transient.  Returns (rate,
-    const, kept traj); error(empty) or error(growing ...) on failure.
+    Drops samples with traj[0] <= 1e-12 and rows past the last positive norm.
+    The rate is the worst per-step rate over the tail half k >= K/2 (the
+    asymptotic regime), then clamped by the caller's clamp; const absorbs the
+    transient.  Returns (rate, const, kept traj); error(empty) or error(growing
+    ...) on failure.
     """
     keep = traj[0] > 1e-12
     if not np.any(keep):
         raise error(empty)
-    traj = traj[:, keep]
+    traj = traj[:np.flatnonzero(traj[:, keep].any(axis=1))[-1] + 1, keep]
     base = traj[0]
     K = traj.shape[0] - 1
     rate = 0.0
@@ -136,8 +149,7 @@ def _geometric_envelope(traj, error, empty, growing, clamp):
     if rate >= 1.0:
         raise error(f"{growing}: fitted rate {rate:.6f}")
     rate = clamp(rate)
-    pows = rate ** np.arange(K + 1)
-    return rate, float(np.max(traj / (pows[:, None] * base[None, :]))), traj
+    return rate, float(np.max(_ratios(traj, rate ** np.arange(K + 1)[:, None] * base))), traj
 
 
 def _holdout_margins(dev, wnorms, rho, c0, c_w):
@@ -195,8 +207,10 @@ def fit_ediss(evaluator, sampler, rng, r_w, pairs=200, horizon=60,
     mags = r_w * rng.uniform(0.5, 1.0, size=pairs)
     W = np.zeros((horizon, n, 2 * width))
     W[pulse_steps, :, width + pairs + np.arange(pairs)] = (dirs * mags).T
-    Xh, Yh, wnorms = _holdout_draw(sampler, rng, r_w, W[:, :, width + 2 * pairs:])
-    dev = evaluator(np.hstack([Xa, Xc, Xh, Xb, Xc, Yh]), horizon, W, _pair_gaps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge r_w ends in one error, unwarned
+        Xh, Yh, wnorms = _holdout_draw(sampler, rng, r_w, W[:, :, width + 2 * pairs:])
+        dev = _finite(evaluator(np.hstack([Xa, Xc, Xh, Xb, Xc, Yh]), horizon, W, _pair_gaps),
+                      wnorms, r_w)
 
     # phase one: undisturbed pairs, rate from the tail, c0 over everything
     rho, c0, _ = _geometric_envelope(
@@ -218,8 +232,9 @@ def fit_ediss(evaluator, sampler, rng, r_w, pairs=200, horizon=60,
         c0 *= factor * 1.01
         c_w *= factor * 1.01
         W = np.zeros((horizon, n, 2 * holdout_pairs))
-        Xh, Yh, wnorms = _holdout_draw(sampler, rng, r_w, W[:, :, holdout_pairs:])
-        dev = evaluator(np.hstack([Xh, Yh]), horizon, W, _pair_gaps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xh, Yh, wnorms = _holdout_draw(sampler, rng, r_w, W[:, :, holdout_pairs:])
+            dev = _finite(evaluator(np.hstack([Xh, Yh]), horizon, W, _pair_gaps), wnorms, r_w)
         factor, slack = _holdout_margins(dev, wnorms, rho, c0, c_w)
         if factor > 0.0:
             raise EdissFitError(

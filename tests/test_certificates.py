@@ -230,6 +230,15 @@ def test_tau_star_degenerate_branches():
     assert eps == pytest.approx(0.5, rel=1e-12)
 
 
+def test_tau_star_without_input_authority():
+    # sigma = 0 with beta > omega * eta^ell: the balancing root is tau = 0,
+    # for kappa = 0 as for kappa > 0, and the rate is its limit there
+    for kappa in (0.0, 1.0):
+        tau, eps = T.tau_star(beta=0.9, kappa=kappa, sigma=0.0, omega=1.0, eta=0.5, ell=1)
+        assert tau == 0.0 and eps == 0.9
+        assert T.epsilon_rate(0.9, kappa, 0.0, 1.0, 0.5, 1, 1e-12) == pytest.approx(eps)
+
+
 def test_stage_cost_lipschitz_corner_and_combination(pend, pend_certs, pend_fit):
     # two-input-slot box [-1, 1]^2: the corner norm is sqrt(2)
     box = T.BoxSet([-1.0], [1.0])

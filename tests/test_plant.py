@@ -73,7 +73,6 @@ def test_every_plant_step_goes_through_model_step(pend, pend_certs, monkeypatch)
     assert np.array_equal(states[1:], np.array(outputs))
 
 
-@pytest.mark.filterwarnings("error")
 def test_box_validation():
     with pytest.raises(T.NumericsError):
         T.BoxSet([1.0], [1.0])  # empty interval
